@@ -1469,7 +1469,7 @@ pub fn catalogue() -> Vec<FunctionBundle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_core::{ClassId, Enclave, EnclaveConfig, MatchSpec, TableId};
+    use eden_core::{ApplyError, ClassId, Enclave, EnclaveConfig, FuncId, MatchSpec, TableId};
     use netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
     use transport::HookVerdict;
 
@@ -1491,59 +1491,64 @@ mod tests {
     fn build_installed(bundle: &FunctionBundle, form: InstalledFunction) -> Enclave {
         let mut e = Enclave::new(EnclaveConfig::default());
         let f = e.install_function(form);
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-        match bundle.name {
+        install_state(&mut e, bundle.name, f).expect("valid case-study state");
+        e
+    }
+
+    fn install_state(e: &mut Enclave, bundle: &str, f: FuncId) -> Result<(), ApplyError> {
+        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)?;
+        match bundle {
             "pias" | "pias-fig7" | "sff" => {
-                e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
+                e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1])?;
             }
-            "fixed-priority" => e.set_global(f, 0, 3),
+            "fixed-priority" => e.set_global(f, 0, 3)?,
             "wcmp" | "message-wcmp" => {
-                e.set_array(f, 0, vec![101, 10, 102, 1]);
-                e.set_global(f, 0, 11);
+                e.set_array(f, 0, vec![101, 10, 102, 1])?;
+                e.set_global(f, 0, 11)?;
             }
-            "pulsar" => e.set_array(f, 0, vec![0, 1, 2]),
+            "pulsar" => e.set_array(f, 0, vec![0, 1, 2])?,
             "dist-rate-limit" => {
                 // budget sized so the 3000-packet agreement stream crosses
                 // it mid-run and exercises the drop path in both forms
-                e.set_global(f, 0, 500_000_000);
-                e.set_array(f, 0, vec![0, 1, 2]);
+                e.set_global(f, 0, 500_000_000)?;
+                e.set_array(f, 0, vec![0, 1, 2])?;
             }
             "conn-steer" => {
-                e.set_array(f, 0, vec![5, 2, 9]);
-                e.set_array(f, 1, vec![71, 72, 73]);
+                e.set_array(f, 0, vec![5, 2, 9])?;
+                e.set_array(f, 1, vec![71, 72, 73])?;
             }
-            "qjump" => e.set_array(f, 0, vec![7, 0, 4, 1, 0, -1]),
-            "replica-select" => e.set_array(f, 0, vec![50, 51, 52]),
+            "qjump" => e.set_array(f, 0, vec![7, 0, 4, 1, 0, -1])?,
+            "replica-select" => e.set_array(f, 0, vec![50, 51, 52])?,
             "port-knock" => {
-                e.set_global(f, 1, 1001);
-                e.set_global(f, 2, 1002);
-                e.set_global(f, 3, 1003);
-                e.set_global(f, 4, 22);
+                e.set_global(f, 1, 1001)?;
+                e.set_global(f, 2, 1002)?;
+                e.set_global(f, 3, 1003)?;
+                e.set_global(f, 4, 22)?;
             }
             "l4lb" => {
-                e.set_array(f, 0, vec![71, 72, 73]);
-                e.set_array(f, 1, vec![0, 0, 0]);
+                e.set_array(f, 0, vec![71, 72, 73])?;
+                e.set_array(f, 1, vec![0, 0, 0])?;
             }
-            "conga" => e.set_array(f, 0, vec![5, 2, 9]),
+            "conga" => e.set_array(f, 0, vec![5, 2, 9])?,
             "ids" => {
                 // ports 22 and 1001 carry weights; threshold low enough
                 // that the 3000-packet stream trips flows into block
-                e.set_global(f, 0, 40);
-                e.set_array(f, 0, vec![22, 7, 1001, 5]);
+                e.set_global(f, 0, 40)?;
+                e.set_array(f, 0, vec![22, 7, 1001, 5])?;
             }
             "stateful-firewall" => {
                 // the agreement stream revisits each of the 7 flows every
                 // 7 ns, so a 6 ns idle expires a flow on every revisit —
                 // establish and timeout both run thousands of times
-                e.set_global(f, 0, 6);
+                e.set_global(f, 0, 6)?;
             }
             "rate-limit" => {
-                e.set_global(f, 0, 200); // window ns
-                e.set_global(f, 1, 100_000); // bytes per window
+                e.set_global(f, 0, 200)?; // window ns
+                e.set_global(f, 1, 100_000)?; // bytes per window
             }
             _ => {}
         }
-        e
+        Ok(())
     }
 
     fn packet(rng: &mut SimRng, i: u64) -> Packet {
@@ -1812,7 +1817,7 @@ mod tests {
         for native in [false, true] {
             let mut e = build(&dist_rate_limit(), native);
             let f = eden_core::FuncId(0);
-            e.set_global(f, 0, 10_000); // shrink the fleet-wide budget
+            e.set_global(f, 0, 10_000).expect("valid global slot"); // shrink the fleet-wide budget
             let mut rng = SimRng::new(5);
             let mk = |i: u64| {
                 let mut p = Packet::tcp(1, 2, TcpHeader::default(), 1000);

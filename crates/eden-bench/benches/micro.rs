@@ -47,8 +47,10 @@ fn build_enclave(interpreted: bool) -> Enclave {
     } else {
         bundle.native()
     });
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
+    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1])
+        .expect("valid global array");
     e
 }
 
@@ -149,12 +151,16 @@ fn bench_table_scaling(c: &mut Criterion) {
         let bundle = functions::fixed_priority();
         let mut enclave = Enclave::new(EnclaveConfig::default());
         let f = enclave.install_function(bundle.native());
-        enclave.set_global(f, 0, 3);
+        enclave.set_global(f, 0, 3).expect("valid global slot");
         // rules 2..=rules+1 miss; the matching class is installed last
         for miss in 0..rules - 1 {
-            enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1000 + miss as u32)), f);
+            enclave
+                .install_rule(TableId(0), MatchSpec::Class(ClassId(1000 + miss as u32)), f)
+                .expect("valid rule");
         }
-        enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+        enclave
+            .install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+            .expect("valid rule");
         let mut rng = SimRng::new(1);
         let mut i = 0u64;
         group.bench_function(format!("{rules}_rules_last_match"), |b| {
@@ -213,13 +219,17 @@ fn bench_catalogue_ratio(c: &mut Criterion) {
             } else {
                 bundle.native()
             });
-            enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+            enclave
+                .install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+                .expect("valid rule");
             let schema = bundle.schema();
             for (i, _) in schema.arrays().iter().enumerate() {
-                enclave.set_array(f, i, vec![1_000_000, 1, i64::MAX, 0]);
+                enclave
+                    .set_array(f, i, vec![1_000_000, 1, i64::MAX, 0])
+                    .expect("valid global array");
             }
             for sl in 0..schema.scope_len(eden_lang::Scope::Global) {
-                enclave.set_global(f, sl, 1);
+                enclave.set_global(f, sl, 1).expect("valid global slot");
             }
             let mut rng = SimRng::new(1);
             let mut i = 0u64;
@@ -253,8 +263,12 @@ fn bench_batch_process(c: &mut Criterion) {
             ..EnclaveConfig::default()
         });
         let f = enclave.install_function(bundle.interpreted());
-        enclave.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-        enclave.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
+        enclave
+            .install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+            .expect("valid rule");
+        enclave
+            .set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1])
+            .expect("valid global array");
         let mut rng = SimRng::new(1);
         let mut i = 0u64;
         group.throughput(Throughput::Elements(batch as u64));

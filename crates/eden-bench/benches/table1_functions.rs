@@ -66,13 +66,15 @@ fn main() {
             } else {
                 bundle.interpreted()
             });
-            e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+            e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+                .expect("valid rule");
             // give every array/global sane contents
             for (i, _) in schema.arrays().iter().enumerate() {
-                e.set_array(f, i, vec![1_000_000, 1, i64::MAX, 0]);
+                e.set_array(f, i, vec![1_000_000, 1, i64::MAX, 0])
+                    .expect("valid global array");
             }
             for s in 0..schema.scope_len(Scope::Global) {
-                e.set_global(f, s, 1);
+                e.set_global(f, s, 1).expect("valid global slot");
             }
             let mut rng = SimRng::new(1);
             let mut faults = 0;

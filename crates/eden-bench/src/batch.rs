@@ -96,13 +96,15 @@ fn build(bundle: &FunctionBundle, lanes: usize) -> Enclave {
         ..EnclaveConfig::default()
     });
     let f = e.install_function(bundle.interpreted());
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
     let schema = bundle.schema();
     for (i, _) in schema.arrays().iter().enumerate() {
-        e.set_array(f, i, vec![1_000_000, 1, i64::MAX, 0]);
+        e.set_array(f, i, vec![1_000_000, 1, i64::MAX, 0])
+            .expect("valid global array");
     }
     for slot in 0..schema.scope_len(eden_lang::Scope::Global) {
-        e.set_global(f, slot, 1);
+        e.set_global(f, slot, 1).expect("valid global slot");
     }
     e
 }

@@ -65,8 +65,10 @@ fn build_enclave(trace_sample: u32) -> Enclave {
         ..EnclaveConfig::default()
     });
     let f = e.install_function(bundle.interpreted());
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
+    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1])
+        .expect("valid global array");
     e
 }
 

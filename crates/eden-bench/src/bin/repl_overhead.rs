@@ -82,9 +82,10 @@ fn build_enclave(replicated: bool) -> Enclave {
         .unwrap_or_else(|e| panic!("gate function does not compile: {}", e.render(SOURCE)));
     let mut e = Enclave::new(EnclaveConfig::default());
     let f = e.install_function(InstalledFunction::interpreted("repl_gate", compiled));
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
     // a budget no run exhausts, so both arms stay on the debit path
-    e.set_global(f, 0, i64::MAX / 2);
+    e.set_global(f, 0, i64::MAX / 2).expect("valid global slot");
     if replicated {
         // install a non-trivial remote view so replicated loads fold a
         // real synced snapshot, not the empty default

@@ -193,8 +193,12 @@ pub fn run(scheme: Scheme, engine: Engine, cfg: &Config) -> RunResult {
         if let Some(function) = build_function(scheme, engine) {
             let mut enclave = Enclave::new(EnclaveConfig::default());
             let f = enclave.install_function(function);
-            enclave.install_rule(TableId(0), MatchSpec::Class(all_class), f);
-            enclave.set_array(f, 0, thresholds());
+            enclave
+                .install_rule(TableId(0), MatchSpec::Class(all_class), f)
+                .expect("valid rule");
+            enclave
+                .set_array(f, 0, thresholds())
+                .expect("valid global array");
             install_enclave(&mut net, node, enclave);
         }
     }

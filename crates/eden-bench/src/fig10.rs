@@ -134,14 +134,16 @@ pub fn run(balancer: Balancer, engine: Engine, cfg: &Config) -> f64 {
         Engine::Eden => bundle.interpreted(),
         Engine::Native => bundle.native(),
     });
-    enclave.install_rule(TableId(0), MatchSpec::Class(lb_class), f);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(lb_class), f)
+        .expect("valid rule");
     let flat: Vec<i64> = weights
         .iter()
         .flat_map(|&(label, w)| [i64::from(label), i64::from(w)])
         .collect();
     let total: i64 = weights.iter().map(|&(_, w)| i64::from(w)).sum();
-    enclave.set_array(f, 0, flat);
-    enclave.set_global(f, 0, total);
+    enclave.set_array(f, 0, flat).expect("valid global array");
+    enclave.set_global(f, 0, total).expect("valid global slot");
     net.node_mut::<Host<BulkSender>>(sender)
         .stack
         .set_hook(enclave);

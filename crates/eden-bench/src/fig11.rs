@@ -149,8 +149,12 @@ pub fn run(mode: Mode, cfg: &Config) -> RunResult {
         let bundle = functions::pulsar();
         let mut enclave = Enclave::new(EnclaveConfig::default());
         let f = enclave.install_function(bundle.interpreted());
-        enclave.install_rule(TableId(0), MatchSpec::Class(classes.io), f);
-        enclave.set_array(f, 0, vec![queue as i64]);
+        enclave
+            .install_rule(TableId(0), MatchSpec::Class(classes.io), f)
+            .expect("valid rule");
+        enclave
+            .set_array(f, 0, vec![queue as i64])
+            .expect("valid global array");
         host.stack.set_hook(enclave);
     }
 

@@ -183,8 +183,10 @@ fn build_enclave(interpreted: bool) -> Enclave {
     } else {
         bundle.native()
     });
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
+    e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1])
+        .expect("valid global array");
     e
 }
 

@@ -53,38 +53,11 @@ use transport::{HookEnv, HookVerdict, PacketHook};
 
 use crate::action::{ActionImpl, FuncId, InstalledFunction, NativeEnv, NativeFn};
 use crate::class::{ClassId, ClassIndex};
+use crate::config::{ConfigModel, FuncConfig};
 use crate::lanes::LanePool;
 use crate::ops::{ApplyError, EnclaveOp};
 use crate::ring::{spsc, Consumer, Producer};
 use crate::state::{FunctionState, MsgShard};
-
-/// Minimal FNV-1a, for the structural configuration digest.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Identifies a match-action table within an enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,6 +354,10 @@ impl EnclaveStats {
 /// The programmable data plane at one end host.
 pub struct Enclave {
     config: EnclaveConfig,
+    /// The committed configuration as a value: the validator every op
+    /// goes through and the source of [`config_digest`](Self::config_digest).
+    /// `tables` and `functions` are its runtime form.
+    model: ConfigModel,
     tables: Vec<MatchActionTable>,
     functions: Vec<InstalledFunction>,
     /// Precomputed per-function packet-slot bindings: (header map, access).
@@ -448,48 +425,13 @@ const STAGE_MATCH: usize = 1;
 const STAGE_EXECUTE: usize = 2;
 const STAGE_NAMES: [&str; 3] = ["stage.classify", "stage.match", "stage.execute"];
 
-/// A fully validated epoch awaiting commit: every op checked against the
-/// shape the configuration will have at that point in the sequence, and
-/// every shipped program already decoded and re-verified — so commit
-/// itself is infallible and atomic between packets.
+/// A validated epoch awaiting commit: `model` is the configuration the
+/// ops produce (every shipped program already decoded and re-verified),
+/// so commit itself is infallible and atomic between packets.
 struct StagedEpoch {
     epoch: u64,
-    ops: Vec<ReadyOp>,
-}
-
-/// [`EnclaveOp`] after stage-time validation (programs decoded).
-enum ReadyOp {
-    Reset,
-    CreateTable,
-    ClearTable(usize),
-    InstallFunction(Box<InstalledFunction>),
-    InstallRule {
-        table: usize,
-        spec: MatchSpec,
-        func: usize,
-    },
-    RemoveRule {
-        table: usize,
-        rule: usize,
-    },
-    SetGlobal {
-        func: usize,
-        slot: usize,
-        value: i64,
-    },
-    SetArray {
-        func: usize,
-        array: usize,
-        values: Vec<i64>,
-    },
-}
-
-/// Shape of an enclave configuration, tracked during stage-time
-/// validation: per-table rule counts and per-function (global slots,
-/// array count).
-struct ConfigShape {
-    rules_per_table: Vec<usize>,
-    funcs: Vec<(usize, usize)>,
+    ops: Vec<EnclaveOp>,
+    model: ConfigModel,
 }
 
 impl Enclave {
@@ -498,6 +440,7 @@ impl Enclave {
         let (punt_tx, punt_rx) = spsc(config.max_punted.max(1));
         Enclave {
             config,
+            model: ConfigModel::new(),
             tables: vec![MatchActionTable::default()],
             functions: Vec::new(),
             pkt_bindings: Vec::new(),
@@ -535,12 +478,19 @@ impl Enclave {
 
     /// Create an additional match-action table; returns its id.
     pub fn create_table(&mut self) -> TableId {
-        self.tables.push(MatchActionTable::default());
+        self.apply_op(EnclaveOp::CreateTable)
+            .expect("CreateTable always validates");
         TableId(self.tables.len() - 1)
     }
 
     /// Install `function`; returns its id for use in rules.
     pub fn install_function(&mut self, function: InstalledFunction) -> FuncId {
+        self.model.install(FuncConfig::of(&function));
+        self.push_function(function)
+    }
+
+    /// Add `function` to the data path (the model already holds it).
+    fn push_function(&mut self, function: InstalledFunction) -> FuncId {
         let state = FunctionState::for_schema_sharded(
             &function.schema,
             self.config.max_messages_per_function,
@@ -570,34 +520,33 @@ impl Enclave {
         FuncId(self.functions.len() - 1)
     }
 
-    /// Append `rule` to `table` (first match wins).
-    pub fn install_rule(&mut self, table: TableId, spec: MatchSpec, func: FuncId) {
-        assert!(func.0 < self.functions.len(), "unknown function");
-        let epoch = self.active_epoch;
-        self.tables[table.0].push_rule(Rule {
+    /// Append a rule to `table` (first match wins).
+    pub fn install_rule(
+        &mut self,
+        table: TableId,
+        spec: MatchSpec,
+        func: FuncId,
+    ) -> Result<(), ApplyError> {
+        self.apply_op(EnclaveOp::InstallRule {
+            table: table.0,
             spec,
-            func,
-            hits: 0,
-            epoch,
-        });
+            func: func.0,
+        })
     }
 
     /// Remove rule `rule` (by position) from `table`; later rules shift
     /// down. Returns `false` when no such rule exists.
     pub fn remove_rule(&mut self, table: TableId, rule: usize) -> bool {
-        let Some(t) = self.tables.get_mut(table.0) else {
-            return false;
-        };
-        if rule >= t.rules.len() {
-            return false;
-        }
-        t.remove_rule(rule);
-        true
+        self.apply_op(EnclaveOp::RemoveRule {
+            table: table.0,
+            rule,
+        })
+        .is_ok()
     }
 
     /// Remove all rules from `table`.
-    pub fn clear_table(&mut self, table: TableId) {
-        self.tables[table.0].clear();
+    pub fn clear_table(&mut self, table: TableId) -> Result<(), ApplyError> {
+        self.apply_op(EnclaveOp::ClearTable { table: table.0 })
     }
 
     /// Add an enclave-level five-tuple classification rule.
@@ -606,8 +555,12 @@ impl Enclave {
     }
 
     /// Write one global scalar of `func` (controller state update).
-    pub fn set_global(&mut self, func: FuncId, slot: usize, value: i64) {
-        self.states[func.0].global[slot] = value;
+    pub fn set_global(&mut self, func: FuncId, slot: usize, value: i64) -> Result<(), ApplyError> {
+        self.apply_op(EnclaveOp::SetGlobal {
+            func: func.0,
+            slot,
+            value,
+        })
     }
 
     /// Read one global scalar of `func`.
@@ -616,8 +569,17 @@ impl Enclave {
     }
 
     /// Replace global array `array` of `func` with flattened `values`.
-    pub fn set_array(&mut self, func: FuncId, array: usize, values: Vec<i64>) {
-        self.states[func.0].set_array(array, values);
+    pub fn set_array(
+        &mut self,
+        func: FuncId,
+        array: usize,
+        values: Vec<i64>,
+    ) -> Result<(), ApplyError> {
+        self.apply_op(EnclaveOp::SetArray {
+            func: func.0,
+            array,
+            values,
+        })
     }
 
     /// Per-function state (instrumentation).
@@ -771,16 +733,21 @@ impl Enclave {
     }
 
     /// Phase one of a two-phase update: validate `ops` as a unit and hold
-    /// them ready. Nothing the data path observes changes. Every op is
-    /// checked against the configuration shape it will meet at its point
-    /// in the sequence, and every shipped program is decoded and
-    /// re-verified — any error rejects the whole epoch and leaves prior
-    /// staged state untouched only if the epoch differs; restaging the
-    /// same or a newer epoch replaces the previous staging (controller
-    /// retries are idempotent).
+    /// them ready. Nothing the data path observes changes. The ops are
+    /// applied to a copy of the committed [`ConfigModel`], which checks
+    /// each against the configuration it meets at its point in the
+    /// sequence and decodes and re-verifies every shipped program — any
+    /// error rejects the whole epoch and leaves prior staged state
+    /// untouched; restaging the same or a newer epoch replaces the
+    /// previous staging (controller retries are idempotent).
     pub fn stage_epoch(&mut self, epoch: u64, ops: &[EnclaveOp]) -> Result<(), ApplyError> {
-        let ready = self.validate_ops(ops)?;
-        self.staged = Some(StagedEpoch { epoch, ops: ready });
+        let mut model = self.model.clone();
+        model.apply(ops)?;
+        self.staged = Some(StagedEpoch {
+            epoch,
+            ops: ops.to_vec(),
+            model,
+        });
         self.flight_record(FlightKind::EpochStage, epoch, 0);
         Ok(())
     }
@@ -799,7 +766,7 @@ impl Enclave {
         base_digest: u64,
         ops: &[EnclaveOp],
     ) -> Result<(), ApplyError> {
-        let have = self.config_digest();
+        let have = self.model.digest();
         if have != base_digest {
             return Err(ApplyError::DigestMismatch {
                 have,
@@ -823,8 +790,16 @@ impl Enclave {
         }
         let staged = self.staged.take().expect("matched above");
         self.active_epoch = epoch;
-        for op in staged.ops {
-            self.apply_ready(op);
+        self.model = staged.model;
+        // Ops before the last `Reset` are wiped by it; skipping them also
+        // keeps each replayed `InstallFunction` at its index in the model.
+        let start = staged
+            .ops
+            .iter()
+            .rposition(|op| matches!(op, EnclaveOp::Reset))
+            .unwrap_or(0);
+        for op in staged.ops.into_iter().skip(start) {
+            self.apply_committed(op);
         }
         // A delta epoch carries no `Reset`, so rules that survive from the
         // previous configuration still wear the old epoch stamp. The commit
@@ -855,8 +830,8 @@ impl Enclave {
     /// administration; the control plane goes through
     /// [`stage_epoch`](Self::stage_epoch) / [`commit_epoch`](Self::commit_epoch)).
     pub fn apply_op(&mut self, op: EnclaveOp) -> Result<(), ApplyError> {
-        let mut ready = self.validate_ops(std::slice::from_ref(&op))?;
-        self.apply_ready(ready.remove(0));
+        self.model.apply(std::slice::from_ref(&op))?;
+        self.apply_committed(op);
         Ok(())
     }
 
@@ -870,59 +845,12 @@ impl Enclave {
             .all(|r| r.epoch == self.active_epoch)
     }
 
-    /// FNV-1a digest of the *structural* configuration: tables and rules
-    /// (spec + function index), installed functions (name, concurrency,
-    /// schema, and bytecode for interpreted functions). Runtime state and
-    /// counters are excluded, so the digest is stable across traffic. The
-    /// controller compares an enclave's reported digest against a shadow
-    /// enclave holding the desired configuration to detect drift.
+    /// Digest of the *structural* configuration
+    /// ([`ConfigModel::digest`]): runtime state and counters are
+    /// excluded, so it is stable across traffic. Agents report it so the
+    /// controller can compare against desired state and detect drift.
     pub fn config_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_usize(self.tables.len());
-        for t in &self.tables {
-            h.write_usize(t.rules.len());
-            for r in &t.rules {
-                match &r.spec {
-                    MatchSpec::Any => h.write_u64(1),
-                    MatchSpec::Class(c) => {
-                        h.write_u64(2);
-                        h.write_u64(u64::from(c.0));
-                    }
-                    MatchSpec::AnyOf(cs) => {
-                        h.write_u64(3);
-                        h.write_usize(cs.len());
-                        for c in cs {
-                            h.write_u64(u64::from(c.0));
-                        }
-                    }
-                }
-                h.write_usize(r.func.0);
-            }
-        }
-        h.write_usize(self.functions.len());
-        for f in &self.functions {
-            h.write_bytes(f.name.as_bytes());
-            h.write_u64(match f.concurrency {
-                Concurrency::Parallel => 0,
-                Concurrency::PerMessage => 1,
-                Concurrency::Serialized => 2,
-            });
-            h.write_usize(f.schema.fields().len());
-            for fd in f.schema.fields() {
-                h.write_bytes(fd.name.as_bytes());
-                h.write_u64(fd.slot as u64);
-            }
-            h.write_usize(f.schema.arrays().len());
-            for a in f.schema.arrays() {
-                h.write_bytes(a.name.as_bytes());
-                h.write_usize(a.stride());
-            }
-            match &f.action {
-                ActionImpl::Interpreted(p) => h.write_bytes(&eden_vm::encode_program(p)),
-                ActionImpl::Native(_) => h.write_bytes(b"<native>"),
-            }
-        }
-        h.finish()
+        self.model.digest()
     }
 
     /// Drop every table (recreating empty table 0), every function, and
@@ -938,165 +866,36 @@ impl Enclave {
         self.lane_safe = true;
     }
 
-    /// Current configuration shape, the starting point for validation.
-    fn shape(&self) -> ConfigShape {
-        ConfigShape {
-            rules_per_table: self.tables.iter().map(|t| t.rules.len()).collect(),
-            funcs: self
-                .functions
-                .iter()
-                .map(|f| (f.schema.scope_len(Scope::Global), f.schema.arrays().len()))
-                .collect(),
-        }
-    }
-
-    /// Check `ops` against the evolving configuration shape and decode
-    /// shipped programs; all-or-nothing.
-    fn validate_ops(&self, ops: &[EnclaveOp]) -> Result<Vec<ReadyOp>, ApplyError> {
-        let mut shape = self.shape();
-        let mut ready = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let r =
-                match op {
-                    EnclaveOp::Reset => {
-                        shape.rules_per_table = vec![0];
-                        shape.funcs.clear();
-                        ReadyOp::Reset
-                    }
-                    EnclaveOp::CreateTable => {
-                        shape.rules_per_table.push(0);
-                        ReadyOp::CreateTable
-                    }
-                    EnclaveOp::ClearTable { table } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        *n = 0;
-                        ReadyOp::ClearTable(*table)
-                    }
-                    EnclaveOp::InstallFunction {
-                        name,
-                        bytecode,
-                        schema,
-                        concurrency,
-                    } => {
-                        let f = InstalledFunction::from_shipped(
-                            name,
-                            bytecode,
-                            schema.clone(),
-                            *concurrency,
-                        )
-                        .map_err(|e| ApplyError::BadBytecode {
-                            op: i,
-                            reason: format!("{e:?}"),
-                        })?;
-                        shape
-                            .funcs
-                            .push((schema.scope_len(Scope::Global), schema.arrays().len()));
-                        ReadyOp::InstallFunction(Box::new(f))
-                    }
-                    EnclaveOp::InstallRule { table, spec, func } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        if *func >= shape.funcs.len() {
-                            return Err(ApplyError::NoSuchFunction { op: i, func: *func });
-                        }
-                        *n += 1;
-                        ReadyOp::InstallRule {
-                            table: *table,
-                            spec: spec.clone(),
-                            func: *func,
-                        }
-                    }
-                    EnclaveOp::RemoveRule { table, rule } => {
-                        let n = shape.rules_per_table.get_mut(*table).ok_or(
-                            ApplyError::NoSuchTable {
-                                op: i,
-                                table: *table,
-                            },
-                        )?;
-                        if *rule >= *n {
-                            return Err(ApplyError::NoSuchRule { op: i, rule: *rule });
-                        }
-                        *n -= 1;
-                        ReadyOp::RemoveRule {
-                            table: *table,
-                            rule: *rule,
-                        }
-                    }
-                    EnclaveOp::SetGlobal { func, slot, value } => {
-                        let &(slots, _) = shape
-                            .funcs
-                            .get(*func)
-                            .ok_or(ApplyError::NoSuchFunction { op: i, func: *func })?;
-                        if *slot >= slots {
-                            return Err(ApplyError::NoSuchSlot { op: i, slot: *slot });
-                        }
-                        ReadyOp::SetGlobal {
-                            func: *func,
-                            slot: *slot,
-                            value: *value,
-                        }
-                    }
-                    EnclaveOp::SetArray {
-                        func,
-                        array,
-                        values,
-                    } => {
-                        let &(_, arrays) = shape
-                            .funcs
-                            .get(*func)
-                            .ok_or(ApplyError::NoSuchFunction { op: i, func: *func })?;
-                        if *array >= arrays {
-                            return Err(ApplyError::NoSuchArray {
-                                op: i,
-                                array: *array,
-                            });
-                        }
-                        ReadyOp::SetArray {
-                            func: *func,
-                            array: *array,
-                            values: values.clone(),
-                        }
-                    }
-                };
-            ready.push(r);
-        }
-        Ok(ready)
-    }
-
-    /// Apply one validated op. Infallible by construction: validation
-    /// checked every index against the shape this op meets.
-    fn apply_ready(&mut self, op: ReadyOp) {
+    /// Carry one op that `self.model` already validated and holds over
+    /// to the data path. Functions are appended only, so an installed
+    /// function's index in the model is the next runtime index.
+    fn apply_committed(&mut self, op: EnclaveOp) {
+        let epoch = self.active_epoch;
         match op {
-            ReadyOp::Reset => self.reset_config(),
-            ReadyOp::CreateTable => {
-                self.create_table();
+            EnclaveOp::Reset => self.reset_config(),
+            EnclaveOp::CreateTable => self.tables.push(MatchActionTable::default()),
+            EnclaveOp::ClearTable { table } => self.tables[table].clear(),
+            EnclaveOp::InstallFunction { .. } => {
+                let f = self
+                    .model
+                    .function(self.functions.len())
+                    .instantiate()
+                    .expect("shipped functions are interpreted");
+                self.push_function(f);
             }
-            ReadyOp::ClearTable(t) => self.clear_table(TableId(t)),
-            ReadyOp::InstallFunction(f) => {
-                self.install_function(*f);
-            }
-            ReadyOp::InstallRule { table, spec, func } => {
-                self.install_rule(TableId(table), spec, FuncId(func));
-            }
-            ReadyOp::RemoveRule { table, rule } => {
-                let removed = self.remove_rule(TableId(table), rule);
-                debug_assert!(removed, "validated rule index");
-            }
-            ReadyOp::SetGlobal { func, slot, value } => self.set_global(FuncId(func), slot, value),
-            ReadyOp::SetArray {
+            EnclaveOp::InstallRule { table, spec, func } => self.tables[table].push_rule(Rule {
+                spec,
+                func: FuncId(func),
+                hits: 0,
+                epoch,
+            }),
+            EnclaveOp::RemoveRule { table, rule } => self.tables[table].remove_rule(rule),
+            EnclaveOp::SetGlobal { func, slot, value } => self.states[func].global[slot] = value,
+            EnclaveOp::SetArray {
                 func,
                 array,
                 values,
-            } => self.set_array(FuncId(func), array, values),
+            } => self.states[func].set_array(array, values),
         }
     }
 
@@ -3042,7 +2841,8 @@ mod tests {
             "fun (packet, msg, _global) -> packet.Priority <- 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(e.parallel_eligible(32));
         assert!(!e.parallel_eligible(31), "below the batch minimum");
 
@@ -3064,7 +2864,8 @@ mod tests {
             "fun (packet, msg, _global) -> _global.C <- _global.C + 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(!e.parallel_eligible(1024), "global writer must stay serial");
     }
 
@@ -3083,7 +2884,8 @@ mod tests {
             "fun (packet, msg, _global) -> msg.B <- msg.B + packet.Size",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(e.parallel_eligible(10));
         assert!(
             !e.parallel_eligible(11),
@@ -3295,9 +3097,12 @@ mod tests {
             "fun (packet, msg, _global) -> packet.Priority <- 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(2)), f);
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+            .expect("valid rule");
+        e.install_rule(TableId(0), MatchSpec::Class(ClassId(2)), f)
+            .expect("valid rule");
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(e.remove_rule(TableId(0), 0));
         assert!(!e.remove_rule(TableId(0), 9), "out of range");
         let t = &e.tables[0];
@@ -3321,7 +3126,8 @@ mod tests {
             )
             .unwrap(),
         );
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(e.last_flight_dump().is_none());
 
         let mut p = Packet::udp(1, 2, netsim::UdpHeader::default(), 100);
@@ -3356,7 +3162,8 @@ mod tests {
             "fun (packet, msg, _global) -> packet.Priority <- 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         let mut rng = SimRng::new(1);
         for i in 0..8u64 {
             let mut p = Packet::udp(1, 2, netsim::UdpHeader::default(), 100);
@@ -3396,7 +3203,8 @@ mod tests {
             "fun (packet, msg, _global) -> packet.Priority <- 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         let mut rng = SimRng::new(1);
         let mut batch: Vec<Packet> = (0..64)
             .map(|_| Packet::udp(1, 2, netsim::UdpHeader::default(), 100))
@@ -3423,7 +3231,8 @@ mod tests {
             "fun (packet, msg, _global) -> _global.Tokens <- _global.Tokens + 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(e.repl_active());
         assert_eq!(e.repl_funcs(), vec![0]);
 
@@ -3462,7 +3271,8 @@ mod tests {
             "fun (packet, msg, _global) -> _global.Steer <- 7",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
 
         run_one(&mut e);
         assert_eq!(e.global(f, 0), 0, "write awaits controller sequencing");
@@ -3518,7 +3328,8 @@ mod tests {
             "fun (packet, msg, _global) -> _global.C <- _global.C + 1",
             schema,
         ));
-        e.install_rule(TableId(0), MatchSpec::Any, f);
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
         assert!(!e.repl_active());
         assert!(e.repl_delta(0).is_none());
         run_one(&mut e);
@@ -3541,5 +3352,67 @@ mod tests {
         e.apply_op(EnclaveOp::Reset).expect("valid");
         assert_eq!(e.tables.len(), 1);
         assert!(e.functions.is_empty());
+    }
+
+    /// A function with one global slot and no arrays, behind one rule.
+    fn setter_target() -> (Enclave, FuncId) {
+        let mut e = Enclave::new(EnclaveConfig::default());
+        let schema = Schema::new().global_field("Count", Access::ReadWrite);
+        let f = e.install_function(interp_fn(
+            "fun (packet, msg, _global) -> _global.Count <- _global.Count + 1",
+            schema,
+        ));
+        e.install_rule(TableId(0), MatchSpec::Any, f)
+            .expect("valid rule");
+        (e, f)
+    }
+
+    #[test]
+    fn set_array_without_arrays_is_no_such_array() {
+        let (mut e, f) = setter_target();
+        let digest = e.config_digest();
+        assert_eq!(
+            e.set_array(f, 0, vec![1, 2]),
+            Err(ApplyError::NoSuchArray { op: 0, array: 0 })
+        );
+        assert_eq!(e.config_digest(), digest);
+    }
+
+    #[test]
+    fn set_global_past_the_schema_is_no_such_slot() {
+        let (mut e, f) = setter_target();
+        assert_eq!(
+            e.set_global(f, 1, 7),
+            Err(ApplyError::NoSuchSlot { op: 0, slot: 1 })
+        );
+        e.set_global(f, 0, 7).expect("slot 0 exists");
+        assert_eq!(e.global(f, 0), 7);
+    }
+
+    #[test]
+    fn table_setters_on_a_missing_table_are_no_such_table() {
+        let (mut e, f) = setter_target();
+        assert_eq!(
+            e.install_rule(TableId(3), MatchSpec::Any, f),
+            Err(ApplyError::NoSuchTable { op: 0, table: 3 })
+        );
+        assert_eq!(
+            e.clear_table(TableId(3)),
+            Err(ApplyError::NoSuchTable { op: 0, table: 3 })
+        );
+        assert_eq!(e.tables[0].rules.len(), 1, "table 0 untouched");
+    }
+
+    #[test]
+    fn setters_on_a_missing_function_are_no_such_function() {
+        let (mut e, _) = setter_target();
+        let missing = FuncId(5);
+        let err = ApplyError::NoSuchFunction { op: 0, func: 5 };
+        assert_eq!(
+            e.install_rule(TableId(0), MatchSpec::Any, missing),
+            Err(err.clone())
+        );
+        assert_eq!(e.set_global(missing, 0, 1), Err(err.clone()));
+        assert_eq!(e.set_array(missing, 0, vec![1]), Err(err));
     }
 }

@@ -28,6 +28,7 @@
 
 pub mod action;
 pub mod class;
+pub mod config;
 pub mod controller;
 pub mod enclave;
 pub mod headermap;
@@ -39,6 +40,7 @@ pub mod state;
 
 pub use action::{ActionImpl, FuncId, InstalledFunction, NativeEnv, NativeFn};
 pub use class::{ClassId, ClassIndex, ClassRegistry};
+pub use config::ConfigModel;
 pub use controller::{Controller, PathSpec};
 pub use eden_telemetry::{StatsSnapshot, Telemetry};
 pub use enclave::{

@@ -23,7 +23,8 @@ fn build() -> Enclave {
         },
         ClassId(1),
     );
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
     e
 }
 
@@ -113,7 +114,8 @@ fn ingress_disabled_by_default() {
         },
         ClassId(1),
     );
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
 
     use transport::PacketHook;
     let mut rng = SimRng::new(1);
@@ -154,7 +156,8 @@ fn shipped_bytecode_behaves_like_locally_compiled() {
         },
         ClassId(1),
     );
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
 
     let mut rng = SimRng::new(1);
     let mut attack = pkt(66, 6666, 10, 22);

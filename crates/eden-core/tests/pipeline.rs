@@ -125,12 +125,16 @@ fn stage_to_enclave_pias_pipeline() {
     let pias = controller
         .install_program(&mut enclave, "pias", PIAS_SRC, &schema)
         .expect("compiles");
-    enclave.install_rule(TableId(0), MatchSpec::Class(get_class), pias);
-    enclave.set_array(
-        pias,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(get_class), pias)
+        .expect("valid rule");
+    enclave
+        .set_array(
+            pias,
+            0,
+            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
+        )
+        .expect("valid global array");
 
     // message priority desire defaults to 0 (respected directly): make the
     // msg state's Priority field 1 via... it defaults to 0, so desired=0 is
@@ -177,12 +181,16 @@ fn pias_demotes_growing_messages() {
     let f = controller
         .install_program(&mut enclave, "pias", PIAS_NO_DESIRE, &pias_schema())
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f)
+        .expect("valid rule");
+    enclave
+        .set_array(
+            f,
+            0,
+            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
+        )
+        .expect("valid global array");
 
     let mut rng = SimRng::new(1);
     let mut priorities_seen = Vec::new();
@@ -211,12 +219,16 @@ fn per_message_state_is_isolated() {
     let f = controller
         .install_program(&mut enclave, "pias", PIAS_NO_DESIRE, &pias_schema())
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f)
+        .expect("valid rule");
+    enclave
+        .set_array(
+            f,
+            0,
+            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
+        )
+        .expect("valid global array");
     let mut rng = SimRng::new(1);
 
     // grow message 1 past the first threshold
@@ -244,12 +256,14 @@ fn native_and_interpreted_agree() {
         let f = controller
             .install_program(&mut e, "pias", PIAS_NO_DESIRE, &pias_schema())
             .unwrap();
-        e.install_rule(TableId(0), MatchSpec::Class(c), f);
+        e.install_rule(TableId(0), MatchSpec::Class(c), f)
+            .expect("valid rule");
         e.set_array(
             f,
             0,
             Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-        );
+        )
+        .expect("valid global array");
         e
     };
 
@@ -275,12 +289,16 @@ fn native_and_interpreted_agree() {
         schema.clone(),
         Concurrency::PerMessage,
     ));
-    native_enclave.install_rule(TableId(0), MatchSpec::Class(c), nf);
-    native_enclave.set_array(
-        nf,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    native_enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), nf)
+        .expect("valid rule");
+    native_enclave
+        .set_array(
+            nf,
+            0,
+            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
+        )
+        .expect("valid global array");
 
     let mut interp_enclave = build_interp(&controller);
     let mut rng1 = SimRng::new(1);
@@ -307,12 +325,16 @@ fn flow_rules_classify_unmodified_traffic() {
     let f = controller
         .install_program(&mut enclave, "pias", PIAS_NO_DESIRE, &pias_schema())
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f)
+        .expect("valid rule");
+    enclave
+        .set_array(
+            f,
+            0,
+            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
+        )
+        .expect("valid global array");
     enclave.add_flow_rule(
         FiveTupleMatch {
             dst_port: Some(80),
@@ -386,7 +408,9 @@ fn faulting_function_fails_open_and_isolates() {
     let f = controller
         .install_program(&mut enclave, "broken", src, &schema)
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f)
+        .expect("valid rule");
 
     let mut rng = SimRng::new(1);
     let mut p = tagged_packet(1, vec![c.0], 100);
@@ -403,7 +427,9 @@ fn faulting_function_fails_open_and_isolates() {
     let f = controller
         .install_program(&mut enclave, "broken", src, &schema)
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f)
+        .expect("valid rule");
     let mut p = tagged_packet(1, vec![c.0], 100);
     let v = enclave.process(&mut p, &mut rng, Time::ZERO);
     assert_eq!(v, HookVerdict::Drop);
@@ -428,8 +454,12 @@ fn goto_table_chains_functions() {
     let f2 = controller
         .install_program(&mut enclave, "second", second, &schema)
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f1);
-    enclave.install_rule(t1, MatchSpec::Any, f2);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f1)
+        .expect("valid rule");
+    enclave
+        .install_rule(t1, MatchSpec::Any, f2)
+        .expect("valid rule");
 
     let mut rng = SimRng::new(1);
     let mut p = tagged_packet(1, vec![c.0], 100);
@@ -448,7 +478,9 @@ fn drop_verdict_from_dsl() {
     let f = controller
         .install_program(&mut enclave, "fw", src, &schema)
         .unwrap();
-    enclave.install_rule(TableId(0), MatchSpec::Class(c), f);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(c), f)
+        .expect("valid rule");
 
     let mut rng = SimRng::new(1);
     let mut p = tagged_packet(1, vec![c.0], 100);

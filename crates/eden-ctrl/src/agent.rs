@@ -17,7 +17,7 @@
 //!   done"); an unknown epoch nacks so the controller knows to re-prepare.
 //! * `Abort{e}` — drops a matching staged epoch, acks either way.
 
-use eden_core::Enclave;
+use eden_core::{Enclave, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView};
 use eden_telemetry::{FlightKind, TraceContext};
 use transport::{HookEnv, HookVerdict, PacketHook};
@@ -140,38 +140,41 @@ impl EnclaveAgent {
         (reply, deltas)
     }
 
+    /// Phase one, full or anchored at `base`: a stale epoch nacks, a
+    /// duplicate of the committed one acks, anything else stages. A
+    /// digest mismatch nacks like any validation error; the controller
+    /// reads the reason and falls back to a full Prepare.
+    fn prepare(&mut self, re: u32, epoch: u64, base: Option<u64>, ops: &[EnclaveOp]) -> CtrlReply {
+        let active = self.enclave.active_epoch();
+        if epoch < active {
+            return CtrlReply::Nack {
+                re,
+                epoch,
+                reason: format!("stale epoch {epoch} < active {active}"),
+            };
+        }
+        let staged = match base {
+            _ if epoch == active => Ok(()),
+            Some(digest) => self.enclave.stage_epoch_delta(epoch, digest, ops),
+            None => self.enclave.stage_epoch(epoch, ops),
+        };
+        match staged {
+            Ok(()) => CtrlReply::Ack {
+                re,
+                epoch,
+                phase: AckPhase::Prepare,
+            },
+            Err(e) => CtrlReply::Nack {
+                re,
+                epoch,
+                reason: e.to_string(),
+            },
+        }
+    }
+
     fn dispatch(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
         match msg {
-            CtrlMsg::Prepare { epoch, ops } => {
-                let active = self.enclave.active_epoch();
-                if epoch < active {
-                    return CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: format!("stale epoch {epoch} < active {active}"),
-                    };
-                }
-                if epoch == active {
-                    // Duplicate of an already-committed update.
-                    return CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    };
-                }
-                match self.enclave.stage_epoch(epoch, &ops) {
-                    Ok(()) => CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    },
-                    Err(e) => CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: e.to_string(),
-                    },
-                }
-            }
+            CtrlMsg::Prepare { epoch, ops } => self.prepare(re, epoch, None, &ops),
             CtrlMsg::Commit { epoch } => {
                 if self.enclave.commit_epoch(epoch) {
                     CtrlReply::Ack {
@@ -221,39 +224,7 @@ impl EnclaveAgent {
                 epoch,
                 base_digest,
                 ops,
-            } => {
-                let active = self.enclave.active_epoch();
-                if epoch < active {
-                    return CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: format!("stale epoch {epoch} < active {active}"),
-                    };
-                }
-                if epoch == active {
-                    // Duplicate of an already-committed update.
-                    return CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    };
-                }
-                // A digest mismatch nacks like any validation error; the
-                // controller reads the reason and falls back to a full
-                // Prepare.
-                match self.enclave.stage_epoch_delta(epoch, base_digest, &ops) {
-                    Ok(()) => CtrlReply::Ack {
-                        re,
-                        epoch,
-                        phase: AckPhase::Prepare,
-                    },
-                    Err(e) => CtrlReply::Nack {
-                        re,
-                        epoch,
-                        reason: e.to_string(),
-                    },
-                }
-            }
+            } => self.prepare(re, epoch, Some(base_digest), &ops),
             // Only aggregators answer AggSync; a plain host nacking it
             // tells a misconfigured parent immediately instead of
             // timing out.

@@ -3,8 +3,8 @@
 //!
 //! [`AggregatorApp`] faces both ways. To the *root* controller it looks
 //! like one well-behaved host: it answers `Prepare` / `DeltaPrepare` /
-//! `Commit` / `Abort` against a local shadow enclave (validating ops and
-//! computing the config digest exactly as a leaf would), and it answers
+//! `Commit` / `Abort` against the shard's [`ConfigModel`] (validating ops
+//! and computing the config digest exactly as a leaf would), and it answers
 //! [`CtrlMsg::AggSync`] with an [`CtrlReply::AggPong`] summarizing its
 //! whole shard — children total, children converged, the highest epoch
 //! any child reports, a divergence flag, the shard's replication deltas
@@ -14,7 +14,7 @@
 //! delta-planned resync.
 //!
 //! The key design choice is that the shard is **autonomous**: the
-//! aggregator acks the root's `Commit` as soon as its own shadow commits,
+//! aggregator acks the root's `Commit` as soon as its own model commits,
 //! then walks its children through the epoch in its own round. Epochs are
 //! therefore *per-shard* — a slow or partitioned host delays only its
 //! rack's convergence, never the root's round — at the cost of a window
@@ -33,15 +33,15 @@
 //! net.schedule_timer(agg_node, Time::ZERO, transport::app_timer_token(TICK));
 //! ```
 
-use eden_core::{Enclave, EnclaveConfig, EnclaveOp};
+use eden_core::{ApplyError, Enclave, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView};
-use eden_telemetry::Span;
+use eden_telemetry::{EnclaveCounters, Span};
 use netsim::{Ctx, L4Header, Packet, Time, UdpHeader};
 use transport::{App, Stack};
 
 use crate::agent::EnclaveAgent;
 use crate::controller::{CtrlConfig, HostStatus, WireCounters, TICK};
-use crate::delta::{self, ConfigModel};
+use crate::delta::{self, ConfigModel, Version};
 use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
 
 /// Most child spans one AggPong relays to the root.
@@ -56,16 +56,6 @@ const AGG_HISTORY: usize = 8;
 #[derive(Debug, Clone, Default)]
 pub struct AggConfig {
     pub ctrl: CtrlConfig,
-}
-
-/// One committed configuration version, kept as a delta anchor.
-struct AggEntry {
-    epoch: u64,
-    digest: u64,
-    model: ConfigModel,
-    /// Reset-led rebuild of `model` — the full ship for children whose
-    /// base is unknown (the ReplHub-snapshot analogue).
-    full_ops: Vec<EnclaveOp>,
 }
 
 struct ChildInflight {
@@ -117,14 +107,14 @@ struct VirtualShard {
 /// A rack/pod aggregation tier endpoint (see module docs).
 pub struct AggregatorApp {
     cfg: CtrlConfig,
-    /// Shadow enclave holding the shard's committed configuration.
-    shadow: Enclave,
-    /// Ops staged but not yet committed (the shadow tracks validation;
-    /// this keeps the raw ops so the model can apply them on commit).
-    staged_ops: Option<(u64, Vec<EnclaveOp>)>,
-    /// Root controller address, learned from its first request.
-    parent: Option<u32>,
-    history: Vec<AggEntry>,
+    /// An epoch the root prepared but has not yet committed, as the
+    /// configuration its ops produce.
+    staged: Option<(u64, ConfigModel)>,
+    /// Root controller address and reply port, learned from its first
+    /// request.
+    parent: Option<(u32, u16)>,
+    /// Committed versions; the last is the shard's configuration.
+    history: Vec<Version>,
     children: Vec<ChildState>,
     virtual_shard: Option<VirtualShard>,
     round: Option<ShardRound>,
@@ -147,17 +137,13 @@ pub struct AggregatorApp {
 impl AggregatorApp {
     /// An aggregator fronting the enclave agents at `children`.
     pub fn new(cfg: AggConfig, children: &[u32]) -> AggregatorApp {
-        let shadow = Enclave::new(EnclaveConfig::default());
-        let history = vec![AggEntry {
+        let history = vec![Version {
             epoch: 0,
-            digest: shadow.config_digest(),
             model: ConfigModel::new(),
-            full_ops: Vec::new(),
         }];
         AggregatorApp {
             cfg: cfg.ctrl,
-            shadow,
-            staged_ops: None,
+            staged: None,
             parent: None,
             history,
             children: children
@@ -206,7 +192,7 @@ impl AggregatorApp {
 
     /// The shard's committed epoch.
     pub fn committed_epoch(&self) -> u64 {
-        self.shadow.active_epoch()
+        self.current().epoch
     }
 
     /// Children (real or virtual) this aggregator fronts.
@@ -219,7 +205,7 @@ impl AggregatorApp {
 
     /// Children currently converged to the shard's committed config.
     pub fn shard_synced(&self) -> usize {
-        let want = (self.shadow.active_epoch(), self.shadow.config_digest());
+        let want = self.want();
         match &self.virtual_shard {
             Some(v) => {
                 let e = v.agent.enclave();
@@ -242,52 +228,18 @@ impl AggregatorApp {
         self.wire
     }
 
-    fn current(&self) -> &AggEntry {
+    fn current(&self) -> &Version {
         self.history.last().expect("history never empty")
     }
 
-    fn digest_of(&self, epoch: u64) -> Option<u64> {
-        self.history
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .map(|e| e.digest)
+    /// The committed `(epoch, digest)` every child should report.
+    fn want(&self) -> (u64, u64) {
+        (self.current().epoch, self.current().model.digest())
     }
 
-    /// Same plan choice the root makes (see `ControllerApp::plan_prepare`):
-    /// a digest-anchored delta when the child's report matches a history
-    /// entry and the diff is cheaper, else the full Reset-led rebuild.
+    /// The same plan choice the root makes, against the shard's history.
     fn plan_child_prepare(&self, reported: Option<(u64, u64)>) -> CtrlMsg {
-        let entry = self.current();
-        let full = CtrlMsg::Prepare {
-            epoch: entry.epoch,
-            ops: entry.full_ops.clone(),
-        };
-        if !self.cfg.delta_updates {
-            return full;
-        }
-        let Some((re, rd)) = reported else {
-            return full;
-        };
-        let Some(base) = self
-            .history
-            .iter()
-            .find(|e| e.epoch == re && e.digest == rd)
-        else {
-            return full;
-        };
-        let Some(ops) = delta::diff(&base.model, &entry.model) else {
-            return full;
-        };
-        let planned = CtrlMsg::DeltaPrepare {
-            epoch: entry.epoch,
-            base_digest: base.digest,
-            ops,
-        };
-        if proto::encode_msg(&planned).len() < proto::encode_msg(&full).len() {
-            planned
-        } else {
-            full
-        }
+        delta::plan_prepare(&self.history, reported, self.cfg.delta_updates)
     }
 
     // ------------------------------------------------------------------
@@ -306,44 +258,38 @@ impl AggregatorApp {
                 base_digest,
                 ops,
             } => self.stage(re, epoch, Some(base_digest), ops),
-            CtrlMsg::Commit { epoch } => {
-                let had_staged = self.staged_ops.as_ref().is_some_and(|(e, _)| *e == epoch);
-                if self.shadow.commit_epoch(epoch) {
-                    if had_staged {
-                        let (_, ops) = self.staged_ops.take().expect("checked above");
-                        let mut model = self.current().model.clone();
-                        model.apply(&ops);
-                        let full_ops = model.to_full_ops();
-                        self.history.push(AggEntry {
-                            epoch,
-                            digest: self.shadow.config_digest(),
-                            model,
-                            full_ops,
-                        });
-                        if self.history.len() > AGG_HISTORY {
-                            self.history.remove(0);
-                        }
-                        // The root's round is done with us; now walk the
-                        // shard through the epoch in our own round.
-                        self.want_round = true;
+            CtrlMsg::Commit { epoch } => match self.staged.take_if(|(e, _)| *e == epoch) {
+                Some((_, model)) => {
+                    self.history.push(Version { epoch, model });
+                    if self.history.len() > AGG_HISTORY {
+                        self.history.remove(0);
                     }
+                    // The root's round is done with us; now walk the
+                    // shard through the epoch in our own round.
+                    self.want_round = true;
                     CtrlReply::Ack {
                         re,
                         epoch,
                         phase: AckPhase::Commit,
                     }
-                } else {
-                    CtrlReply::Nack {
+                }
+                // A duplicate commit of the committed epoch.
+                None if self.staged.is_none() && self.committed_epoch() == epoch => {
+                    CtrlReply::Ack {
                         re,
                         epoch,
-                        reason: format!("epoch {epoch} not prepared"),
+                        phase: AckPhase::Commit,
                     }
                 }
-            }
+                None => CtrlReply::Nack {
+                    re,
+                    epoch,
+                    reason: format!("epoch {epoch} not prepared"),
+                },
+            },
             CtrlMsg::Abort { epoch } => {
-                self.shadow.abort_epoch(epoch);
-                if self.staged_ops.as_ref().is_some_and(|(e, _)| *e == epoch) {
-                    self.staged_ops = None;
+                if self.staged.as_ref().is_some_and(|(e, _)| *e == epoch) {
+                    self.staged = None;
                 }
                 // Children never saw the aborted epoch: the shard round
                 // only starts at commit.
@@ -353,26 +299,30 @@ impl AggregatorApp {
                     phase: AckPhase::Abort,
                 }
             }
-            CtrlMsg::Heartbeat { nonce } => CtrlReply::Pong {
-                re,
-                nonce,
-                epoch: self.shadow.active_epoch(),
-                digest: self.shadow.config_digest(),
-                spans: Vec::new(),
-            },
+            CtrlMsg::Heartbeat { nonce } => {
+                let (epoch, digest) = self.want();
+                CtrlReply::Pong {
+                    re,
+                    nonce,
+                    epoch,
+                    digest,
+                    spans: Vec::new(),
+                }
+            }
             CtrlMsg::AggSync { nonce, views } => {
                 self.views_down = views;
                 self.agg_pong(re, nonce)
             }
             CtrlMsg::PullStats => {
-                let snap = self.shadow.stats_snapshot();
+                // The aggregator carries no traffic: zero counters.
+                let (epoch, digest) = self.want();
                 CtrlReply::Stats {
                     re,
-                    epoch: self.shadow.active_epoch(),
-                    digest: self.shadow.config_digest(),
-                    captured_at_ns: snap.captured_at_ns,
-                    counters: snap.enclave,
-                    latencies: snap.latencies,
+                    epoch,
+                    digest,
+                    captured_at_ns: 0,
+                    counters: EnclaveCounters::default(),
+                    latencies: Vec::new(),
                 }
             }
             CtrlMsg::PullTrace { max } => {
@@ -386,7 +336,7 @@ impl AggregatorApp {
     }
 
     fn stage(&mut self, re: u32, epoch: u64, base: Option<u64>, ops: Vec<EnclaveOp>) -> CtrlReply {
-        let active = self.shadow.active_epoch();
+        let (active, have) = self.want();
         if epoch < active {
             return CtrlReply::Nack {
                 re,
@@ -402,12 +352,15 @@ impl AggregatorApp {
             };
         }
         let staged = match base {
-            Some(digest) => self.shadow.stage_epoch_delta(epoch, digest, &ops),
-            None => self.shadow.stage_epoch(epoch, &ops),
+            Some(want) if want != have => Err(ApplyError::DigestMismatch { have, want }),
+            _ => {
+                let mut model = self.current().model.clone();
+                model.apply(&ops).map(|()| model)
+            }
         };
         match staged {
-            Ok(()) => {
-                self.staged_ops = Some((epoch, ops));
+            Ok(model) => {
+                self.staged = Some((epoch, model));
                 CtrlReply::Ack {
                     re,
                     epoch,
@@ -424,8 +377,7 @@ impl AggregatorApp {
 
     /// Summarize the shard for the root.
     fn agg_pong(&mut self, re: u32, nonce: u64) -> CtrlReply {
-        let epoch = self.shadow.active_epoch();
-        let digest = self.shadow.config_digest();
+        let (epoch, digest) = self.want();
         let (hosts_total, hosts_synced, max_epoch, diverged) = match &self.virtual_shard {
             Some(v) => {
                 let e = v.agent.enclave();
@@ -601,7 +553,9 @@ impl AggregatorApp {
     /// stragglers when idle. Called wherever the stack is in hand.
     fn drive(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         if self.virtual_shard.is_some() {
-            self.drive_virtual();
+            if self.drive_virtual() {
+                self.report_shard(stack, ctx);
+            }
             return;
         }
         if self.want_round && self.round.is_none() {
@@ -617,14 +571,15 @@ impl AggregatorApp {
     /// The virtual shard converges synchronously: every child would see
     /// the same frames and answer identically, so one template agent
     /// executes the exchange and the wire tally scales by `count`.
-    fn drive_virtual(&mut self) {
+    /// Returns whether a round ran.
+    fn drive_virtual(&mut self) -> bool {
         if !self.want_round {
-            return;
+            return false;
         }
         self.want_round = false;
         let epoch = self.current().epoch;
         let Some(mut v) = self.virtual_shard.take() else {
-            return;
+            return false;
         };
         let e = v.agent.enclave();
         let prep = self.plan_child_prepare(Some((e.active_epoch(), e.config_digest())));
@@ -641,10 +596,7 @@ impl AggregatorApp {
             if matches!(reply, CtrlReply::Nack { .. }) {
                 // Digest anchor missed (template diverged): full resync.
                 v.seq = v.seq.wrapping_add(1);
-                let full = CtrlMsg::Prepare {
-                    epoch,
-                    ops: self.current().full_ops.clone(),
-                };
+                let full = self.plan_child_prepare(None);
                 let bytes = proto::encode_msg(&full).len();
                 v.agent.handle(v.seq, full.clone());
                 for _ in 0..v.count {
@@ -655,6 +607,7 @@ impl AggregatorApp {
             }
         }
         self.virtual_shard = Some(v);
+        true
     }
 
     fn open_shard_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
@@ -731,7 +684,32 @@ impl AggregatorApp {
             }
             ShardPhase::Committing => {
                 self.round = None;
+                self.report_shard(stack, ctx);
             }
+        }
+    }
+
+    /// A finished shard round changes what the root's convergence check
+    /// depends on: report the shard now instead of at the next AggSync.
+    fn report_shard(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+        let pong = self.agg_pong(0, 0);
+        self.send_parent(&pong, stack, ctx);
+    }
+
+    fn send_parent(&mut self, reply: &CtrlReply, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+        let Some((to, port)) = self.parent else {
+            return;
+        };
+        self.reply_seq = self.reply_seq.wrapping_add(1);
+        let udp = UdpHeader {
+            src_port: self.cfg.ctrl_port,
+            dst_port: port,
+        };
+        let encoded = proto::encode_reply(reply);
+        self.wire.msgs_sent += 1;
+        self.wire.bytes_sent += encoded.len() as u64;
+        for f in proto::fragment(self.reply_seq, &encoded) {
+            stack.send_raw(Packet::ctrl(stack.addr, to, udp, f), ctx);
         }
     }
 
@@ -743,7 +721,7 @@ impl AggregatorApp {
     /// re-issues a fresh epoch.
     fn reconcile(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let want = (self.shadow.active_epoch(), self.shadow.config_digest());
+        let want = self.want();
         for i in 0..self.children.len() {
             let c = &self.children[i];
             if c.status != HostStatus::Up || c.inflight.is_some() || now < c.next_resync {
@@ -810,7 +788,7 @@ impl AggregatorApp {
                         self.push_shard_phase(stack, ctx);
                     }
                     (true, AckPhase::Commit) => {
-                        if let Some(d) = self.digest_of(epoch) {
+                        if let Some(d) = delta::digest_of(&self.history, epoch) {
                             self.children[i].reported = Some((epoch, d));
                         }
                         if let Some(round) = self.round.as_mut() {
@@ -829,7 +807,7 @@ impl AggregatorApp {
                         );
                     }
                     (false, AckPhase::Commit) => {
-                        if let Some(d) = self.digest_of(epoch) {
+                        if let Some(d) = delta::digest_of(&self.history, epoch) {
                             self.children[i].reported = Some((epoch, d));
                         }
                         self.children[i].resync_backoff = Time::ZERO;
@@ -858,10 +836,7 @@ impl AggregatorApp {
                 if was_delta && phase == AckPhase::Prepare && epoch == self.current().epoch {
                     // Digest anchor missed: the same fallback the root
                     // uses — full rebuild on the same track.
-                    let msg = CtrlMsg::Prepare {
-                        epoch,
-                        ops: self.current().full_ops.clone(),
-                    };
+                    let msg = self.plan_child_prepare(None);
                     self.send_child(i, msg, AckPhase::Prepare, is_round, stack, ctx);
                     return;
                 }
@@ -925,19 +900,9 @@ impl App for AggregatorApp {
             let Ok((msg, _views, _ctx)) = proto::decode_msg_synced(&payload) else {
                 return;
             };
-            self.parent = Some(from);
+            self.parent = Some((from, udp.src_port));
             let reply = self.handle_parent_msg(re, msg);
-            self.reply_seq = self.reply_seq.wrapping_add(1);
-            let udp_out = UdpHeader {
-                src_port: self.cfg.ctrl_port,
-                dst_port: udp.src_port,
-            };
-            let encoded = proto::encode_reply(&reply);
-            self.wire.msgs_sent += 1;
-            self.wire.bytes_sent += encoded.len() as u64;
-            for f in proto::fragment(self.reply_seq, &encoded) {
-                stack.send_raw(Packet::ctrl(stack.addr, from, udp_out, f), ctx);
-            }
+            self.send_parent(&reply, stack, ctx);
             // A commit may have queued the shard round: open it now
             // rather than waiting out the tick.
             self.drive(stack, ctx);
@@ -994,11 +959,11 @@ mod tests {
         assert_eq!(a.committed_epoch(), 1);
         assert!(a.want_round, "commit queues the shard round");
         assert_eq!(a.history.len(), 2);
-        assert_eq!(a.current().full_ops[0], EnclaveOp::Reset);
+        assert_eq!(a.current().model.to_full_ops()[0], EnclaveOp::Reset);
     }
 
     #[test]
-    fn parent_delta_prepare_anchors_on_shadow_digest() {
+    fn parent_delta_prepare_anchors_on_model_digest() {
         let mut a = AggregatorApp::new(AggConfig::default(), &[11]);
         a.handle_parent_msg(
             1,
@@ -1008,7 +973,7 @@ mod tests {
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
-        let anchor = a.current().digest;
+        let anchor = a.current().model.digest();
 
         // Anchored delta appends one rule.
         let delta_ops = vec![EnclaveOp::InstallRule {
@@ -1057,7 +1022,7 @@ mod tests {
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
-        let want = (a.current().epoch, a.current().digest);
+        let want = (a.current().epoch, a.current().model.digest());
         a.children[0].reported = Some(want);
         a.children[1].reported = Some((0, 7)); // lagging
         a.children[2].reported = Some((want.0, 999)); // diverged

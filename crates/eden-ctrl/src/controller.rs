@@ -6,10 +6,11 @@
 //! plane uses (§3.2: the controller "communicates with enclaves over the
 //! network"). The state machine:
 //!
-//! * **Desired state** is a Reset-led op list tagged with an epoch. A
-//!   shadow enclave on the controller replays it, which both validates the
-//!   ops before anything touches the wire and yields the expected config
-//!   digest for convergence checks.
+//! * **Desired state** is a [`ConfigModel`] tagged with an epoch. Applying
+//!   the operator's ops to it validates them before anything touches the
+//!   wire, and its digest is what every host must report at convergence.
+//!   A host ships either the model's full `Reset`-led op list or a diff
+//!   from the version it last reported.
 //! * **Pushes are two-phase**: `Prepare` to every live host, and only when
 //!   *all* of them ack does `Commit` go out — so the fleet can never serve
 //!   a mix of old and new epochs because half the hosts raced ahead. A
@@ -33,21 +34,24 @@
 //! net.schedule_timer(ctrl_node, Time::ZERO, transport::app_timer_token(eden_ctrl::TICK));
 //! ```
 
-use eden_core::{ApplyError, Enclave, EnclaveConfig, EnclaveOp};
+use eden_core::{ApplyError, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView, ReplHub, ReplSpec};
 use eden_telemetry::{
-    ClusterStats, FlightKind, HostReport, LatencyStat, LogHistogram, ReplLag, Span, TraceContext,
-    TraceStore,
+    ClusterStats, EnclaveCounters, FlightDump, FlightEvent, FlightKind, FlightRing, HostReport,
+    LatencyStat, LogHistogram, ReplLag, Span, TraceContext, TraceStore,
 };
 use netsim::{Ctx, Packet, Time, UdpHeader};
 use transport::{App, Stack};
 
-use crate::delta::{self, ConfigModel};
+use crate::delta::{self, ConfigModel, Version};
 use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
 
 /// Timer payload of the controller's periodic tick (pass through
 /// [`transport::app_timer_token`] when scheduling the first one).
 pub const TICK: u64 = 0x71C4;
+
+/// Events the controller's flight recorder keeps.
+const FLIGHT_CAPACITY: usize = 256;
 
 /// Timing and port knobs. The defaults suit the workspace's default
 /// fabric (10 Gb/s links, microsecond propagation); everything scales
@@ -188,8 +192,11 @@ struct HostState {
     /// fronting those hosts: heartbeats become [`CtrlMsg::AggSync`] and
     /// its pongs summarize the whole shard.
     subtree: Option<Vec<u32>>,
-    /// From the last AggPong: children converged to the agg's epoch.
+    /// From the last AggPong: children converged to the agg's
+    /// `(epoch, digest)` at that time, and that pair — the count only
+    /// vouches for the desired config when the pair is the desired one.
     subtree_synced: u32,
+    subtree_synced_to: Option<(u64, u64)>,
     /// From the last AggPong: highest epoch any child reports, and
     /// whether some child serves the epoch with a wrong digest.
     subtree_max_epoch: u64,
@@ -220,16 +227,6 @@ struct Round {
     opened_at: Time,
 }
 
-/// One version of desired state.
-struct DesiredEntry {
-    epoch: u64,
-    ops: Vec<EnclaveOp>,
-    digest: u64,
-    /// Value model of this configuration — the diff anchor for
-    /// [`CtrlMsg::DeltaPrepare`] planning against later entries.
-    model: ConfigModel,
-}
-
 fn new_host_state(addr: u32) -> HostState {
     HostState {
         addr,
@@ -243,6 +240,7 @@ fn new_host_state(addr: u32) -> HostState {
         resync_backoff: Time::ZERO,
         subtree: None,
         subtree_synced: 0,
+        subtree_synced_to: None,
         subtree_max_epoch: 0,
         subtree_diverged: false,
     }
@@ -257,9 +255,10 @@ pub struct ControllerApp {
     hosts: Vec<HostState>,
     /// Desired-state history; the last entry is current. Kept so a
     /// nacked round can roll back to the previous version.
-    history: Vec<DesiredEntry>,
-    /// Shadow enclave replaying desired state (validation + digest).
-    shadow: Enclave,
+    history: Vec<Version>,
+    /// Control-plane black box: desired-state versions and divergences,
+    /// frozen and emitted per `EDEN_FLIGHT` when a host diverges.
+    flight: FlightRing,
     round: Option<Round>,
     /// Set by [`set_desired`](Self::set_desired); the next tick opens the
     /// round (sending needs the stack, which only event handlers hold).
@@ -295,11 +294,8 @@ pub struct ControllerApp {
 impl ControllerApp {
     /// A controller managing the enclave agents at `hosts`.
     pub fn new(cfg: CtrlConfig, hosts: &[u32]) -> ControllerApp {
-        let shadow = Enclave::new(EnclaveConfig::default());
-        let history = vec![DesiredEntry {
+        let history = vec![Version {
             epoch: 0,
-            ops: Vec::new(),
-            digest: shadow.config_digest(),
             model: ConfigModel::new(),
         }];
         ControllerApp {
@@ -307,7 +303,7 @@ impl ControllerApp {
             core: eden_core::Controller::new(),
             hosts: hosts.iter().map(|&addr| new_host_state(addr)).collect(),
             history,
-            shadow,
+            flight: FlightRing::new(FLIGHT_CAPACITY),
             round: None,
             want_round: false,
             cluster: ClusterStats::new(),
@@ -347,26 +343,16 @@ impl ControllerApp {
     // public surface
     // ------------------------------------------------------------------
 
-    /// Replace desired state with `ops` (validated against the shadow
-    /// enclave first). Returns the new epoch; the push itself starts on
-    /// the next tick. `ops` should be Reset-led — a full description of
-    /// the intended configuration — so that resyncing a diverged host is
-    /// always a plain replay.
+    /// Apply `ops` to desired state (validated first; nothing changes
+    /// on error). Returns the new epoch; the push itself starts on the
+    /// next tick. `ops` may be a `Reset`-led full description or an
+    /// incremental change: hosts receive whichever of the resulting
+    /// configuration's full op list or a diff fits what they hold.
     pub fn set_desired(&mut self, ops: Vec<EnclaveOp>) -> Result<u64, ApplyError> {
-        let epoch = self.desired().epoch + 1;
-        self.shadow.stage_epoch(epoch, &ops)?;
-        assert!(self.shadow.commit_epoch(epoch));
-        let digest = self.shadow.config_digest();
         let mut model = self.desired().model.clone();
-        model.apply(&ops);
-        self.history.push(DesiredEntry {
-            epoch,
-            ops,
-            digest,
-            model,
-        });
-        self.sync_repl_from_shadow();
-        self.want_round = true;
+        model.apply(&ops)?;
+        let epoch = self.desired().epoch + 1;
+        self.push_desired(epoch, model);
         Ok(epoch)
     }
 
@@ -377,7 +363,7 @@ impl ControllerApp {
 
     /// The config digest every host should report at convergence.
     pub fn desired_digest(&self) -> u64 {
-        self.desired().digest
+        self.desired().model.digest()
     }
 
     /// Whether every managed endpoint has *reported* the desired epoch
@@ -386,12 +372,12 @@ impl ControllerApp {
     /// additionally vouches for its shard: every child it fronts must
     /// have converged too.
     pub fn all_in_sync(&self) -> bool {
-        let want = (self.desired().epoch, self.desired().digest);
+        let want = self.want();
         self.hosts.iter().all(|h| {
             h.reported == Some(want)
-                && h.subtree
-                    .as_ref()
-                    .is_none_or(|c| h.subtree_synced as usize == c.len())
+                && h.subtree.as_ref().is_none_or(|c| {
+                    h.subtree_synced_to == Some(want) && h.subtree_synced as usize == c.len()
+                })
         })
     }
 
@@ -399,7 +385,7 @@ impl ControllerApp {
     /// digest (an aggregator counts as one endpoint here; see
     /// [`in_sync_hosts`](Self::in_sync_hosts) for the leaf count).
     pub fn in_sync_count(&self) -> usize {
-        let want = (self.desired().epoch, self.desired().digest);
+        let want = self.want();
         self.hosts
             .iter()
             .filter(|h| h.reported == Some(want))
@@ -418,17 +404,14 @@ impl ControllerApp {
     /// Leaf hosts currently converged to desired state, counting each
     /// aggregator's last-reported shard tally.
     pub fn in_sync_hosts(&self) -> usize {
-        let want = (self.desired().epoch, self.desired().digest);
+        let want = self.want();
         self.hosts
             .iter()
             .map(|h| match &h.subtree {
-                Some(_) => {
-                    if h.reported == Some(want) {
-                        h.subtree_synced as usize
-                    } else {
-                        0
-                    }
+                Some(_) if h.reported == Some(want) && h.subtree_synced_to == Some(want) => {
+                    h.subtree_synced as usize
                 }
+                Some(_) => 0,
                 None => usize::from(h.reported == Some(want)),
             })
             .sum()
@@ -480,81 +463,60 @@ impl ControllerApp {
     // internals
     // ------------------------------------------------------------------
 
-    fn desired(&self) -> &DesiredEntry {
+    fn desired(&self) -> &Version {
         self.history.last().expect("history never empty")
     }
 
-    /// Mirror the shadow enclave's replication layout into the hub. The
-    /// shadow has already replayed desired state, so its per-function
-    /// specs *are* what every host will install on commit. Re-installing
-    /// an unchanged spec keeps accumulated sync state (epochs re-push
-    /// configuration idempotently); a changed spec resets that function.
-    fn sync_repl_from_shadow(&mut self) {
-        let funcs = self.shadow.repl_funcs();
+    /// The `(epoch, digest)` pair every host should report.
+    fn want(&self) -> (u64, u64) {
+        (self.desired().epoch, self.desired().model.digest())
+    }
+
+    /// Make `model` desired state under `epoch` and queue its round.
+    fn push_desired(&mut self, epoch: u64, model: ConfigModel) {
+        self.flight_record(FlightKind::EpochStage, epoch, 0);
+        self.flight_record(FlightKind::EpochCommit, epoch, 0);
+        self.history.push(Version { epoch, model });
+        self.sync_repl();
+        self.want_round = true;
+    }
+
+    fn flight_record(&mut self, kind: FlightKind, a: u64, b: u64) {
+        self.flight.record(FlightEvent {
+            at_ns: 0,
+            lane: 0,
+            kind,
+            a,
+            b,
+        });
+    }
+
+    /// Mirror desired state's replication layout into the hub: each
+    /// function's spec comes from its schema, exactly as every host
+    /// derives it on commit. Re-installing an unchanged spec keeps
+    /// accumulated sync state (epochs re-push configuration
+    /// idempotently); a changed spec resets that function.
+    fn sync_repl(&mut self) {
+        let specs: Vec<(usize, ReplSpec)> = self
+            .desired()
+            .model
+            .functions()
+            .map(|f| ReplSpec::from_schema(&f.schema))
+            .enumerate()
+            .filter(|(_, spec)| !spec.is_empty())
+            .collect();
         for f in self.repl.active_funcs() {
-            if !funcs.contains(&f) {
+            if !specs.iter().any(|&(g, _)| g == f) {
                 self.repl.install(f, ReplSpec::default());
             }
         }
-        for f in funcs {
-            let spec = self
-                .shadow
-                .repl_host(f)
-                .expect("listed by repl_funcs")
-                .spec()
-                .clone();
+        for (f, spec) in specs {
             self.repl.install(f, spec);
         }
     }
 
-    fn digest_of(&self, epoch: u64) -> Option<u64> {
-        self.history
-            .iter()
-            .find(|e| e.epoch == epoch)
-            .map(|e| e.digest)
-    }
-
-    /// Choose the cheapest safe prepare for a host whose last report is
-    /// `reported`. When the report matches a history entry exactly (epoch
-    /// *and* digest — the host provably holds that configuration), a
-    /// diff from that entry to desired state ships as a digest-anchored
-    /// [`CtrlMsg::DeltaPrepare`]; anything else — unknown base,
-    /// undiffable shapes, or a diff that is not actually smaller on the
-    /// wire — ships the full Reset-led table. The agent's digest check
-    /// backstops any stale plan: a mismatch nacks and the controller
-    /// falls back to the full ship.
     fn plan_prepare(&self, reported: Option<(u64, u64)>) -> CtrlMsg {
-        let entry = self.desired();
-        let full = CtrlMsg::Prepare {
-            epoch: entry.epoch,
-            ops: entry.ops.clone(),
-        };
-        if !self.cfg.delta_updates {
-            return full;
-        }
-        let Some((re, rd)) = reported else {
-            return full;
-        };
-        let Some(base) = self
-            .history
-            .iter()
-            .find(|e| e.epoch == re && e.digest == rd)
-        else {
-            return full;
-        };
-        let Some(ops) = delta::diff(&base.model, &entry.model) else {
-            return full;
-        };
-        let planned = CtrlMsg::DeltaPrepare {
-            epoch: entry.epoch,
-            base_digest: base.digest,
-            ops,
-        };
-        if proto::encode_msg(&planned).len() < proto::encode_msg(&full).len() {
-            planned
-        } else {
-            full
-        }
+        delta::plan_prepare(&self.history, reported, self.cfg.delta_updates)
     }
 
     /// Send `msg` to `to` as one or more control frames, returning the
@@ -874,7 +836,7 @@ impl ControllerApp {
 
     fn reconcile(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let want = (self.desired().epoch, self.desired().digest);
+        let want = self.want();
         for i in 0..self.hosts.len() {
             let h = &self.hosts[i];
             if h.status != HostStatus::Up || h.inflight.is_some() || now < h.next_resync {
@@ -895,33 +857,24 @@ impl ControllerApp {
             }
             if reported.0 >= want.0 || subtree_ahead {
                 // Same (or newer) epoch but wrong digest: the host
-                // diverged. Freeze the shadow's flight recorder (the
+                // diverged. Freeze the flight recorder (the
                 // controller-side record of what it believed) and
                 // re-issue desired state under a fresh epoch so a plain
                 // prepare/commit replay heals the whole fleet.
                 let addr = h.addr;
-                let reported_digest = reported.1;
                 let ahead = reported.0.max(h.subtree_max_epoch);
-                self.shadow
-                    .flight_record(FlightKind::Divergence, u64::from(addr), reported_digest);
-                self.shadow.freeze_flight("divergence");
-                let entry = self.desired();
-                let epoch = ahead + 1;
-                let ops = entry.ops.clone();
-                self.shadow
-                    .stage_epoch(epoch, &ops)
-                    .expect("desired ops validated when set");
-                assert!(self.shadow.commit_epoch(epoch));
-                let digest = self.shadow.config_digest();
+                self.flight_record(FlightKind::Divergence, u64::from(addr), reported.1);
+                FlightDump::freeze(
+                    "divergence",
+                    0,
+                    0,
+                    std::slice::from_ref(&self.flight),
+                    Vec::new(),
+                    EnclaveCounters::default(),
+                )
+                .emit();
                 let model = self.desired().model.clone();
-                self.history.push(DesiredEntry {
-                    epoch,
-                    ops,
-                    digest,
-                    model,
-                });
-                self.sync_repl_from_shadow();
-                self.want_round = true;
+                self.push_desired(ahead + 1, model);
                 return;
             }
             let msg = self.plan_prepare(Some(reported));
@@ -1035,7 +988,8 @@ impl ControllerApp {
         // Roll back desired state (the initial entry always stays).
         if self.history.len() > 1 && self.desired().epoch == epoch {
             self.history.pop();
-            self.rebuild_shadow();
+            self.flight_record(FlightKind::EpochAbort, epoch, 0);
+            self.sync_repl();
         }
         let scope: Vec<u32> = self
             .hosts
@@ -1062,21 +1016,6 @@ impl ControllerApp {
         round.pending = pending;
         round.acked.clear();
         self.advance_round_if_done(ctx.now());
-    }
-
-    /// Reset the shadow enclave to the (possibly rolled-back) desired
-    /// entry by replaying it from scratch.
-    fn rebuild_shadow(&mut self) {
-        let mut shadow = Enclave::new(EnclaveConfig::default());
-        let entry = self.desired();
-        if entry.epoch > 0 {
-            shadow
-                .stage_epoch(entry.epoch, &entry.ops)
-                .expect("desired ops validated when set");
-            assert!(shadow.commit_epoch(entry.epoch));
-        }
-        self.shadow = shadow;
-        self.sync_repl_from_shadow();
     }
 
     fn handle_reply(
@@ -1140,6 +1079,7 @@ impl ControllerApp {
             } => {
                 self.hosts[i].reported = Some((epoch, digest));
                 self.hosts[i].subtree_synced = hosts_synced;
+                self.hosts[i].subtree_synced_to = Some((epoch, digest));
                 self.hosts[i].subtree_max_epoch = max_epoch;
                 self.hosts[i].subtree_diverged = diverged;
                 for span in spans {
@@ -1200,7 +1140,7 @@ impl ControllerApp {
                         self.push_round_phase(stack, ctx);
                     }
                     (Origin::Round, AckPhase::Commit) => {
-                        let digest = self.digest_of(epoch);
+                        let digest = delta::digest_of(&self.history, epoch);
                         if let Some(d) = digest {
                             self.hosts[i].reported = Some((epoch, d));
                         }
@@ -1227,7 +1167,7 @@ impl ControllerApp {
                         );
                     }
                     (Origin::Resync, AckPhase::Commit) => {
-                        if let Some(d) = self.digest_of(epoch) {
+                        if let Some(d) = delta::digest_of(&self.history, epoch) {
                             self.hosts[i].reported = Some((epoch, d));
                         }
                         self.hosts[i].resync_backoff = Time::ZERO;
@@ -1263,10 +1203,7 @@ impl ControllerApp {
                     // validation there: fall back to the full Reset-led
                     // ship on the same track — a round host stays in the
                     // round's pending set, a resync stays a resync.
-                    let msg = CtrlMsg::Prepare {
-                        epoch,
-                        ops: self.desired().ops.clone(),
-                    };
+                    let msg = self.plan_prepare(None);
                     self.send_tracked(i, msg, AckPhase::Prepare, origin, trace, stack, ctx);
                     return;
                 }

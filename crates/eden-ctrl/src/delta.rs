@@ -1,382 +1,67 @@
-//! Delta planning: turn two desired configurations into the smallest
-//! [`EnclaveOp`] sequence that converts one into the other.
-//!
-//! The controller's full-replacement epochs are `Reset`-led, which makes
-//! them simple but quadratic at fleet scale: every rule of every table
-//! re-ships to every host on every change. [`ConfigModel`] is a pure
-//! value model of an enclave's *configuration* (not its runtime state) —
-//! the controller keeps one per [`DesiredEntry`](crate::controller) in
-//! history and calls [`diff`] to plan a [`CtrlMsg::DeltaPrepare`]
-//! (crate::CtrlMsg::DeltaPrepare) anchored at the base's config digest.
-//!
-//! `diff` is deliberately conservative: it only claims a plan when the
-//! base is a *structural prefix* of the target (functions append-only,
-//! tables never dropped, no global write to take back). Anything else
-//! returns `None` and the controller ships the full table — correctness
-//! never depends on the diff being clever, only on the digest anchor
-//! rejecting a stale base ([`Enclave::stage_epoch_delta`]
-//! (eden_core::Enclave::stage_epoch_delta)).
-//!
-//! One behavioral difference worth naming: a delta epoch carries no
-//! `Reset`, so function runtime state (globals written by the data path,
-//! flow tables) *survives* the update on untouched functions. For a
-//! config-only change that is exactly what an operator wants — the
-//! full-replacement path zeroed counters as collateral damage.
+//! Delta planning. [`ConfigModel`] and [`diff`] live in eden-core's
+//! [`config`](eden_core::config) module, where the enclave validates and
+//! digests with the same model the controller plans with; this module
+//! re-exports them and holds the plan choice the root controller and
+//! every aggregator make.
 
-use std::collections::BTreeMap;
+pub use eden_core::config::{diff, ConfigModel};
 
-use eden_core::{EnclaveOp, MatchSpec};
+use crate::proto::{self, CtrlMsg};
 
-/// A pure value model of an enclave's configuration, as produced by a
-/// sequence of [`EnclaveOp`]s applied to an empty enclave. Mirrors the
-/// enclave's own apply semantics (`Reset` recreates empty table 0;
-/// rule indices shift down on removal).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ConfigModel {
-    /// Installed functions in index order, kept as their original
-    /// `InstallFunction` ops (compared structurally for diffing).
-    funcs: Vec<EnclaveOp>,
-    /// Match-action tables: `(spec, func index)` per rule, first match
-    /// wins. An empty model still has table 0, like a fresh enclave.
-    tables: Vec<Vec<(MatchSpec, usize)>>,
-    /// Last value written per `(func, slot)` by `SetGlobal`.
-    globals: BTreeMap<(usize, usize), i64>,
-    /// Last value written per `(func, array)` by `SetArray`.
-    arrays: BTreeMap<(usize, usize), Vec<i64>>,
+/// One configuration version: the epoch it was pushed under and the
+/// configuration itself, which also anchors diffs to later versions.
+pub(crate) struct Version {
+    pub epoch: u64,
+    pub model: ConfigModel,
 }
 
-impl ConfigModel {
-    /// The configuration of a fresh enclave: one empty table, nothing
-    /// else.
-    pub fn new() -> ConfigModel {
-        ConfigModel {
-            funcs: Vec::new(),
-            tables: vec![Vec::new()],
-            globals: BTreeMap::new(),
-            arrays: BTreeMap::new(),
-        }
-    }
-
-    /// Model the configuration `ops` produce on a fresh enclave.
-    pub fn from_ops(ops: &[EnclaveOp]) -> ConfigModel {
-        let mut m = ConfigModel::new();
-        m.apply(ops);
-        m
-    }
-
-    /// Apply `ops` to this model, mirroring the enclave's semantics.
-    /// Out-of-range indices are ignored (the controller only models op
-    /// sequences its shadow enclave already validated).
-    pub fn apply(&mut self, ops: &[EnclaveOp]) {
-        for op in ops {
-            match op {
-                EnclaveOp::Reset => *self = ConfigModel::new(),
-                EnclaveOp::CreateTable => self.tables.push(Vec::new()),
-                EnclaveOp::ClearTable { table } => {
-                    if let Some(t) = self.tables.get_mut(*table) {
-                        t.clear();
-                    }
-                }
-                EnclaveOp::InstallFunction { .. } => self.funcs.push(op.clone()),
-                EnclaveOp::InstallRule { table, spec, func } => {
-                    if let Some(t) = self.tables.get_mut(*table) {
-                        t.push((spec.clone(), *func));
-                    }
-                }
-                EnclaveOp::RemoveRule { table, rule } => {
-                    if let Some(t) = self.tables.get_mut(*table) {
-                        if *rule < t.len() {
-                            t.remove(*rule);
-                        }
-                    }
-                }
-                EnclaveOp::SetGlobal { func, slot, value } => {
-                    self.globals.insert((*func, *slot), *value);
-                }
-                EnclaveOp::SetArray {
-                    func,
-                    array,
-                    values,
-                } => {
-                    self.arrays.insert((*func, *array), values.clone());
-                }
-            }
-        }
-    }
-
-    /// Rebuild this configuration from scratch as a `Reset`-led op
-    /// sequence — the full-table ship the delta path falls back to.
-    pub fn to_full_ops(&self) -> Vec<EnclaveOp> {
-        let mut ops = vec![EnclaveOp::Reset];
-        ops.extend(self.funcs.iter().cloned());
-        // Reset leaves table 0 in place; create the rest.
-        for _ in 1..self.tables.len() {
-            ops.push(EnclaveOp::CreateTable);
-        }
-        for (table, rules) in self.tables.iter().enumerate() {
-            for (spec, func) in rules {
-                ops.push(EnclaveOp::InstallRule {
-                    table,
-                    spec: spec.clone(),
-                    func: *func,
-                });
-            }
-        }
-        for (&(func, slot), &value) in &self.globals {
-            ops.push(EnclaveOp::SetGlobal { func, slot, value });
-        }
-        for (&(func, array), values) in &self.arrays {
-            ops.push(EnclaveOp::SetArray {
-                func,
-                array,
-                values: values.clone(),
-            });
-        }
-        ops
-    }
-
-    /// Rule count across all tables (bench/telemetry).
-    pub fn rule_count(&self) -> usize {
-        self.tables.iter().map(Vec::len).sum()
-    }
+/// Digest of the version pushed under `epoch`, while `history` holds it.
+pub(crate) fn digest_of(history: &[Version], epoch: u64) -> Option<u64> {
+    history
+        .iter()
+        .find(|v| v.epoch == epoch)
+        .map(|v| v.model.digest())
 }
 
-/// Plan the op sequence converting `base` into `target`, or `None` when
-/// no safe in-place plan exists (the caller ships the full table).
-///
-/// A plan exists when `base` is a structural prefix of `target`:
-/// functions append-only (an enclave cannot uninstall one function),
-/// tables never dropped, and no `(func, slot)`/`(func, array)` write in
-/// `base` that `target` lacks (a delta cannot "unwrite" state it never
-/// knew the default of). Within a common table the plan is a
-/// longest-common-prefix splice: pop divergent rules from the tail,
-/// append the target's.
-pub fn diff(base: &ConfigModel, target: &ConfigModel) -> Option<Vec<EnclaveOp>> {
-    if base.funcs.len() > target.funcs.len()
-        || base.funcs[..] != target.funcs[..base.funcs.len()]
-        || base.tables.len() > target.tables.len()
-        || base.globals.keys().any(|k| !target.globals.contains_key(k))
-        || base.arrays.keys().any(|k| !target.arrays.contains_key(k))
-    {
-        return None;
-    }
-    let mut ops = Vec::new();
-    // Functions first: rules and state writes below may reference the
-    // appended indices.
-    ops.extend(target.funcs[base.funcs.len()..].iter().cloned());
-    for _ in base.tables.len()..target.tables.len() {
-        ops.push(EnclaveOp::CreateTable);
-    }
-    for (table, want) in target.tables.iter().enumerate() {
-        let have: &[(MatchSpec, usize)] = base.tables.get(table).map_or(&[], Vec::as_slice);
-        let lcp = have
-            .iter()
-            .zip(want.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        // Remove the divergent tail highest-index-first so positions
-        // stay valid as rules shift down.
-        for rule in (lcp..have.len()).rev() {
-            ops.push(EnclaveOp::RemoveRule { table, rule });
-        }
-        for (spec, func) in &want[lcp..] {
-            ops.push(EnclaveOp::InstallRule {
-                table,
-                spec: spec.clone(),
-                func: *func,
-            });
-        }
-    }
-    for (&(func, slot), &value) in &target.globals {
-        if base.globals.get(&(func, slot)) != Some(&value) {
-            ops.push(EnclaveOp::SetGlobal { func, slot, value });
-        }
-    }
-    for (&(func, array), values) in &target.arrays {
-        if base.arrays.get(&(func, array)) != Some(values) {
-            ops.push(EnclaveOp::SetArray {
-                func,
-                array,
-                values: values.clone(),
-            });
-        }
-    }
-    Some(ops)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use eden_core::{ClassId, Enclave, EnclaveConfig};
-    use eden_lang::{Access, HeaderField, Schema};
-
-    fn schema() -> Schema {
-        Schema::new().packet_field("Priority", Access::ReadWrite, Some(HeaderField::Dot1qPcp))
-    }
-
-    fn install(prio: u8) -> EnclaveOp {
-        let source = format!("fun (packet, msg, _global) -> packet.Priority <- {prio}");
-        eden_core::Controller::new()
-            .plan_function(&format!("prio{prio}"), &source, &schema())
-            .expect("compiles")
-    }
-
-    fn rule(table: usize, class: u32, func: usize) -> EnclaveOp {
-        EnclaveOp::InstallRule {
-            table,
-            spec: MatchSpec::Class(ClassId(class)),
-            func,
-        }
-    }
-
-    fn base_ops() -> Vec<EnclaveOp> {
-        vec![
-            EnclaveOp::Reset,
-            install(3),
-            rule(0, 1, 0),
-            rule(0, 2, 0),
-            rule(0, 3, 0),
-        ]
-    }
-
-    /// Applying `diff(base, target)` on a real enclave at `base` lands on
-    /// exactly `target`'s digest — the property the wire protocol leans on.
-    fn assert_diff_converges(base_ops: &[EnclaveOp], target_ops: &[EnclaveOp]) -> Vec<EnclaveOp> {
-        let base = ConfigModel::from_ops(base_ops);
-        let target = ConfigModel::from_ops(target_ops);
-        let plan = diff(&base, &target).expect("diffable");
-
-        let mut via_delta = Enclave::new(EnclaveConfig::default());
-        via_delta.stage_epoch(1, base_ops).unwrap();
-        assert!(via_delta.commit_epoch(1));
-        let anchor = via_delta.config_digest();
-        via_delta.stage_epoch_delta(2, anchor, &plan).unwrap();
-        assert!(via_delta.commit_epoch(2));
-
-        let mut via_full = Enclave::new(EnclaveConfig::default());
-        via_full.stage_epoch(2, target_ops).unwrap();
-        assert!(via_full.commit_epoch(2));
-
-        assert_eq!(via_delta.config_digest(), via_full.config_digest());
-        assert!(via_delta.serves_single_epoch());
-        plan
-    }
-
-    #[test]
-    fn single_rule_append_is_one_op() {
-        let mut target = base_ops();
-        target.push(rule(0, 4, 0));
-        let plan = assert_diff_converges(&base_ops(), &target);
-        assert_eq!(plan, vec![rule(0, 4, 0)]);
-    }
-
-    #[test]
-    fn mid_table_edit_splices_the_tail() {
-        let mut target = base_ops();
-        target[3] = rule(0, 9, 0); // replace the middle rule
-        let plan = assert_diff_converges(&base_ops(), &target);
-        assert_eq!(
-            plan,
-            vec![
-                EnclaveOp::RemoveRule { table: 0, rule: 2 },
-                EnclaveOp::RemoveRule { table: 0, rule: 1 },
-                rule(0, 9, 0),
-                rule(0, 3, 0),
-            ]
-        );
-    }
-
-    #[test]
-    fn appended_function_and_table_diff_in_order() {
-        let mut target = base_ops();
-        target.push(install(5));
-        target.push(EnclaveOp::CreateTable);
-        target.push(rule(1, 7, 1));
-        let plan = assert_diff_converges(&base_ops(), &target);
-        assert!(
-            matches!(plan[0], EnclaveOp::InstallFunction { .. }),
-            "function must precede the rule that references it"
-        );
-        assert_eq!(plan[1], EnclaveOp::CreateTable);
-        assert_eq!(plan[2], rule(1, 7, 1));
-    }
-
-    #[test]
-    fn global_and_array_writes_diff_by_value() {
-        let mut base = base_ops();
-        base.push(EnclaveOp::SetGlobal {
-            func: 0,
-            slot: 0,
-            value: 1,
-        });
-        let mut target = base.clone();
-        target.push(EnclaveOp::SetGlobal {
-            func: 0,
-            slot: 0,
-            value: 2,
-        });
-        let plan = diff(
-            &ConfigModel::from_ops(&base),
-            &ConfigModel::from_ops(&target),
-        )
-        .expect("diffable");
-        assert_eq!(
-            plan,
-            vec![EnclaveOp::SetGlobal {
-                func: 0,
-                slot: 0,
-                value: 2
-            }]
-        );
-        // An unchanged write ships nothing.
-        assert_eq!(
-            diff(
-                &ConfigModel::from_ops(&target),
-                &ConfigModel::from_ops(&target)
-            ),
-            Some(vec![])
-        );
-    }
-
-    #[test]
-    fn structural_regressions_refuse_to_diff() {
-        let base = ConfigModel::from_ops(&base_ops());
-
-        // fewer functions than base
-        let target = ConfigModel::from_ops(&[EnclaveOp::Reset, rule(0, 1, 0)]);
-        assert_eq!(diff(&base, &target), None);
-
-        // a different function at the same index
-        let mut swapped = base_ops();
-        swapped[1] = install(7);
-        assert_eq!(diff(&base, &ConfigModel::from_ops(&swapped)), None);
-
-        // a global write the target never made
-        let mut with_global = base_ops();
-        with_global.push(EnclaveOp::SetGlobal {
-            func: 0,
-            slot: 0,
-            value: 5,
-        });
-        assert_eq!(
-            diff(&ConfigModel::from_ops(&with_global), &base),
-            None,
-            "cannot unwrite a global"
-        );
-    }
-
-    #[test]
-    fn full_ops_round_trip_the_model() {
-        let mut target = base_ops();
-        target.push(EnclaveOp::CreateTable);
-        target.push(rule(1, 7, 0));
-        target.push(EnclaveOp::SetArray {
-            func: 0,
-            array: 0,
-            values: vec![1, 2, 3],
-        });
-        let m = ConfigModel::from_ops(&target);
-        assert_eq!(ConfigModel::from_ops(&m.to_full_ops()), m);
-        assert_eq!(m.rule_count(), 4);
+/// Choose the cheapest safe prepare toward the last version in `history`
+/// for a host whose last report is `reported`. When the report matches a
+/// history entry exactly (epoch *and* digest — the host provably holds
+/// that configuration), a diff from that entry ships as a
+/// digest-anchored [`CtrlMsg::DeltaPrepare`]; anything else — unknown
+/// base, undiffable shapes, or a diff that is not actually smaller on
+/// the wire — ships the full table. The agent's digest check backstops
+/// any stale plan: a mismatch nacks and the sender falls back to the
+/// full ship (`reported: None`).
+pub(crate) fn plan_prepare(
+    history: &[Version],
+    reported: Option<(u64, u64)>,
+    delta_updates: bool,
+) -> CtrlMsg {
+    let target = history.last().expect("history never empty");
+    let full = CtrlMsg::Prepare {
+        epoch: target.epoch,
+        ops: target.model.to_full_ops(),
+    };
+    let Some((re, rd)) = reported.filter(|_| delta_updates) else {
+        return full;
+    };
+    let Some(base) = history
+        .iter()
+        .find(|v| v.epoch == re && v.model.digest() == rd)
+    else {
+        return full;
+    };
+    let Some(ops) = diff(&base.model, &target.model) else {
+        return full;
+    };
+    let planned = CtrlMsg::DeltaPrepare {
+        epoch: target.epoch,
+        base_digest: rd,
+        ops,
+    };
+    if proto::encode_msg(&planned).len() < proto::encode_msg(&full).len() {
+        planned
+    } else {
+        full
     }
 }

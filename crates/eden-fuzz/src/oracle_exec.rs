@@ -14,7 +14,7 @@ use crate::minimize::ddmin;
 use crate::report::{Failure, OracleReport};
 use crate::rng::FuzzRng;
 use eden_apps::functions::{catalogue, FunctionBundle};
-use eden_core::{ClassId, Enclave, EnclaveConfig, FuncId, MatchSpec, TableId};
+use eden_core::{ApplyError, ClassId, Enclave, EnclaveConfig, FuncId, MatchSpec, TableId};
 use netsim::{EdenMeta, Packet, SimRng, TcpHeader, Time};
 
 const MINIMIZE_BUDGET: usize = 200;
@@ -90,50 +90,56 @@ fn build_enclave(
     } else {
         bundle.interpreted()
     });
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    match bundle.name {
+    install_state(&mut e, bundle.name, f).expect("valid case-study state");
+    (e, f)
+}
+
+/// The case-study state `bundle`'s logic expects, matching class 1.
+fn install_state(e: &mut Enclave, bundle: &str, f: FuncId) -> Result<(), ApplyError> {
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)?;
+    match bundle {
         "pias" | "pias-fig7" | "sff" => {
-            e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1]);
+            e.set_array(f, 0, vec![10 * 1024, 7, 1024 * 1024, 5, i64::MAX, 1])?
         }
-        "fixed-priority" => e.set_global(f, 0, 3),
+        "fixed-priority" => e.set_global(f, 0, 3)?,
         "wcmp" | "message-wcmp" => {
-            e.set_array(f, 0, vec![101, 10, 102, 1]);
-            e.set_global(f, 0, 11);
+            e.set_array(f, 0, vec![101, 10, 102, 1])?;
+            e.set_global(f, 0, 11)?;
         }
-        "pulsar" => e.set_array(f, 0, vec![0, 1, 2]),
+        "pulsar" => e.set_array(f, 0, vec![0, 1, 2])?,
         "dist-rate-limit" => {
-            e.set_global(f, 0, 500_000_000);
-            e.set_array(f, 0, vec![0, 1, 2]);
+            e.set_global(f, 0, 500_000_000)?;
+            e.set_array(f, 0, vec![0, 1, 2])?;
         }
         "conn-steer" => {
-            e.set_array(f, 0, vec![5, 2, 9]);
-            e.set_array(f, 1, vec![71, 72, 73]);
+            e.set_array(f, 0, vec![5, 2, 9])?;
+            e.set_array(f, 1, vec![71, 72, 73])?;
         }
-        "qjump" => e.set_array(f, 0, vec![7, 0, 4, 1, 0, -1]),
-        "replica-select" => e.set_array(f, 0, vec![50, 51, 52]),
+        "qjump" => e.set_array(f, 0, vec![7, 0, 4, 1, 0, -1])?,
+        "replica-select" => e.set_array(f, 0, vec![50, 51, 52])?,
         "port-knock" => {
-            e.set_global(f, 1, 1001);
-            e.set_global(f, 2, 1002);
-            e.set_global(f, 3, 1003);
-            e.set_global(f, 4, 22);
+            e.set_global(f, 1, 1001)?;
+            e.set_global(f, 2, 1002)?;
+            e.set_global(f, 3, 1003)?;
+            e.set_global(f, 4, 22)?;
         }
         "l4lb" => {
-            e.set_array(f, 0, vec![71, 72, 73]);
-            e.set_array(f, 1, vec![0, 0, 0]);
+            e.set_array(f, 0, vec![71, 72, 73])?;
+            e.set_array(f, 1, vec![0, 0, 0])?;
         }
-        "conga" => e.set_array(f, 0, vec![5, 2, 9]),
+        "conga" => e.set_array(f, 0, vec![5, 2, 9])?,
         "ids" => {
-            e.set_global(f, 0, 40);
-            e.set_array(f, 0, vec![22, 7, 1001, 5]);
+            e.set_global(f, 0, 40)?;
+            e.set_array(f, 0, vec![22, 7, 1001, 5])?;
         }
-        "stateful-firewall" => e.set_global(f, 0, 6),
+        "stateful-firewall" => e.set_global(f, 0, 6)?,
         "rate-limit" => {
-            e.set_global(f, 0, 200);
-            e.set_global(f, 1, 100_000);
+            e.set_global(f, 0, 200)?;
+            e.set_global(f, 1, 100_000)?;
         }
         _ => {}
     }
-    (e, f)
+    Ok(())
 }
 
 fn batchy_config() -> EnclaveConfig {

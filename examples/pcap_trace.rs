@@ -67,9 +67,13 @@ fn main() {
     let bundle = functions::wcmp();
     let mut enclave = Enclave::new(EnclaveConfig::default());
     let f = enclave.install_function(bundle.interpreted());
-    enclave.install_rule(TableId(0), MatchSpec::Class(lb), f);
-    enclave.set_array(f, 0, vec![1, 10, 2, 1]);
-    enclave.set_global(f, 0, 11);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(lb), f)
+        .expect("valid rule");
+    enclave
+        .set_array(f, 0, vec![1, 10, 2, 1])
+        .expect("valid global array");
+    enclave.set_global(f, 0, 11).expect("valid global slot");
     net.node_mut::<Host<BulkSender>>(sender)
         .stack
         .set_hook(enclave);

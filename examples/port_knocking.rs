@@ -48,12 +48,14 @@ fn main() {
         },
         class,
     );
-    enclave.install_rule(TableId(0), MatchSpec::Class(class), f);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(class), f)
+        .expect("valid rule");
     // knock sequence and protected port, installed by the controller
-    enclave.set_global(f, 1, 1001);
-    enclave.set_global(f, 2, 1002);
-    enclave.set_global(f, 3, 1003);
-    enclave.set_global(f, 4, 22);
+    enclave.set_global(f, 1, 1001).expect("valid global slot");
+    enclave.set_global(f, 2, 1002).expect("valid global slot");
+    enclave.set_global(f, 3, 1003).expect("valid global slot");
+    enclave.set_global(f, 4, 22).expect("valid global slot");
 
     let mut rng = SimRng::new(1);
     let mut t = 0u64;

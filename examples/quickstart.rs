@@ -91,12 +91,16 @@ fn main() {
     let f = controller
         .install_program(&mut enclave, "pias", PIAS_SRC, &schema)
         .expect("installs");
-    enclave.install_rule(TableId(0), MatchSpec::Class(get_class), f);
-    enclave.set_array(
-        f,
-        0,
-        Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
-    );
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(get_class), f)
+        .expect("valid rule");
+    enclave
+        .set_array(
+            f,
+            0,
+            Controller::flatten_pairs(&Controller::fixed_thresholds([7, 5, 1])),
+        )
+        .expect("valid global array");
 
     // --- 3. classify a message and run its packets -----------------------
     let meta = stage.classify(&[

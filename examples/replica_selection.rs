@@ -63,8 +63,12 @@ fn main() {
     let bundle = functions::replica_select();
     let mut enclave = Enclave::new(EnclaveConfig::default());
     let f = enclave.install_function(bundle.interpreted());
-    enclave.install_rule(TableId(0), MatchSpec::Class(get_class), f);
-    enclave.set_array(f, 0, REPLICAS.iter().map(|&ip| i64::from(ip)).collect());
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(get_class), f)
+        .expect("valid rule");
+    enclave
+        .set_array(f, 0, REPLICAS.iter().map(|&ip| i64::from(ip)).collect())
+        .expect("valid global array");
     net.node_mut::<Host<KvClient>>(client)
         .stack
         .set_hook(enclave);

@@ -264,3 +264,43 @@ fn nacked_prepare_aborts_the_round_everywhere_and_rolls_back() {
         app.desired_epoch()
     );
 }
+
+#[test]
+fn host_that_missed_every_epoch_converges_on_incremental_desired_state() {
+    let mut c = build_cluster(17, 2, CtrlConfig::default());
+    // Host 2 is cut off from the start: it never sees any epoch.
+    let link = c.host_links[1];
+    c.net.set_link_down(link, true);
+    c.net.run_until(Time::from_millis(2));
+
+    controller(&mut c).set_desired(prio_ops(5)).expect("valid");
+    c.net.run_until(Time::from_millis(10));
+    // Epoch 2 only appends a rule to what epoch 1 built.
+    controller(&mut c)
+        .set_desired(vec![EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Class(eden::core::ClassId(7)),
+            func: 0,
+        }])
+        .expect("valid on top of epoch 1");
+    c.net.run_until(Time::from_millis(20));
+    assert_eq!(agent_enclave(&mut c, 0).active_epoch(), 2);
+    assert_eq!(agent_enclave(&mut c, 1).active_epoch(), 0);
+
+    // Healed, host 2 must receive the whole configuration, not the
+    // incremental ops epoch 2 was described by.
+    c.net.set_link_down(link, false);
+    c.net.run_until(Time::from_millis(80));
+    let want = {
+        let app = controller(&mut c);
+        assert!(app.all_in_sync(), "healed host converges");
+        assert_eq!(app.desired_epoch(), 2);
+        app.desired_digest()
+    };
+    for i in 0..2 {
+        let e = agent_enclave(&mut c, i);
+        assert_eq!(e.active_epoch(), 2, "host {i}");
+        assert_eq!(e.config_digest(), want, "host {i}");
+        assert!(e.serves_single_epoch());
+    }
+}

@@ -161,6 +161,51 @@ fn hierarchy_converges_and_every_leaf_serves_the_epoch() {
     }
 }
 
+/// Leaves serving the root's desired epoch and digest, counted from the
+/// enclaves themselves.
+fn leaves_serving_desired(tree: &mut Tree) -> usize {
+    let want = {
+        let app = root(tree);
+        (app.desired_epoch(), app.desired_digest())
+    };
+    let mut n = 0;
+    for rack in 0..tree.racks.len() {
+        for child in 0..tree.racks[rack].len() {
+            let e = leaf_enclave(tree, rack, child);
+            n += usize::from((e.active_epoch(), e.config_digest()) == want);
+        }
+    }
+    n
+}
+
+#[test]
+fn root_sync_claims_are_backed_by_every_leaf() {
+    let mut tree = build_tree(19, 2, 3, CtrlConfig::default());
+    let mut t = run_until(&mut tree, Time::ZERO, |app| app.all_in_sync());
+    for prio in 1..=6 {
+        root(&mut tree)
+            .set_desired(prio_ops(prio))
+            .expect("valid ops");
+        let deadline = t + Time::from_millis(50);
+        loop {
+            t += Time::from_micros(5);
+            assert!(t <= deadline, "epoch for prio {prio} did not converge");
+            tree.net.run_until(t);
+            let serving = leaves_serving_desired(&mut tree);
+            let app = root(&mut tree);
+            assert!(
+                app.in_sync_hosts() <= serving,
+                "root counts {} leaves in sync, {serving} serve the epoch",
+                app.in_sync_hosts()
+            );
+            if app.all_in_sync() {
+                assert_eq!(serving, 6, "root claimed sync before every leaf served");
+                break;
+            }
+        }
+    }
+}
+
 #[test]
 fn partitioned_host_stalls_only_its_own_shard() {
     let mut tree = build_tree(13, 2, 3, CtrlConfig::default());

@@ -89,8 +89,10 @@ fn enclave_priorities_reach_the_switch_scheduler() {
                 .compile_function("sff", &bundle.source, &bundle.schema())
                 .expect("compiles"),
         ));
-        e.install_rule(TableId(0), MatchSpec::AnyOf(vec![bulk, small]), f);
-        e.set_array(f, 0, vec![10 * 1024, 7, i64::MAX, 0]);
+        e.install_rule(TableId(0), MatchSpec::AnyOf(vec![bulk, small]), f)
+            .expect("valid rule");
+        e.set_array(f, 0, vec![10 * 1024, 7, i64::MAX, 0])
+            .expect("valid global array");
         e
     };
 

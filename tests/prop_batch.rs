@@ -27,15 +27,19 @@ fn install(e: &mut Enclave, bundle: &FunctionBundle, interpreted: bool, class: u
         e.install_function(bundle.native())
     };
     match bundle.name {
-        "sff" | "pias" => e.set_array(f, 0, vec![10_000, 7, 1_000_000, 5, i64::MAX, 1]),
+        "sff" | "pias" => e
+            .set_array(f, 0, vec![10_000, 7, 1_000_000, 5, i64::MAX, 1])
+            .expect("valid global array"),
         "wcmp" | "message-wcmp" => {
-            e.set_array(f, 0, vec![11, 3, 22, 2, 33, 5]);
-            e.set_global(f, 0, 10);
+            e.set_array(f, 0, vec![11, 3, 22, 2, 33, 5])
+                .expect("valid global array");
+            e.set_global(f, 0, 10).expect("valid global slot");
         }
-        "fixed-priority" => e.set_global(f, 0, 3),
+        "fixed-priority" => e.set_global(f, 0, 3).expect("valid global slot"),
         _ => {}
     }
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(class)), f);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(class)), f)
+        .expect("valid rule");
     f
 }
 
@@ -244,8 +248,10 @@ fn dishonest_concurrency_declaration_traps_identically() {
             )
             .unwrap(),
         );
-        e.set_array(f, 0, vec![i64::MAX, 1]);
-        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
+        e.set_array(f, 0, vec![i64::MAX, 1])
+            .expect("valid global array");
+        e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+            .expect("valid rule");
         e
     };
 
@@ -292,7 +298,8 @@ fn punt_mailbox_is_bounded() {
             Ok(Outcome::SentToController)
         }),
     ));
-    e.install_rule(TableId(0), MatchSpec::Any, f);
+    e.install_rule(TableId(0), MatchSpec::Any, f)
+        .expect("valid rule");
 
     let mut rng = SimRng::new(1);
     for i in 0..20u64 {

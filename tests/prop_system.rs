@@ -7,8 +7,9 @@ use proptest::prelude::*;
 fn enclave_with(bundle: &eden::apps::FunctionBundle, thresholds: Vec<i64>) -> Enclave {
     let mut e = Enclave::new(EnclaveConfig::default());
     let f = e.install_function(bundle.interpreted());
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f);
-    e.set_array(f, 0, thresholds);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), f)
+        .expect("valid rule");
+    e.set_array(f, 0, thresholds).expect("valid global array");
     e
 }
 
@@ -75,7 +76,7 @@ proptest! {
         let bundle = eden::apps::functions::message_wcmp();
         let mut e = enclave_with(&bundle, vec![101, 3, 102, 2, 103, 1]);
         // total weight global
-        e.set_global(eden::core::FuncId(0), 0, 6);
+        e.set_global(eden::core::FuncId(0), 0, 6).expect("valid global slot");
         let mut rng = SimRng::new(seed);
         let mut chosen: std::collections::HashMap<u64, u16> = Default::default();
         for (i, msg) in stream.into_iter().enumerate() {

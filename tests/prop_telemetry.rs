@@ -49,10 +49,14 @@ fn verdict_enclave() -> Enclave {
             Ok(Outcome::Done)
         }),
     ));
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), pass);
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(2)), drop);
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(3)), punt);
-    e.install_rule(TableId(0), MatchSpec::Class(ClassId(4)), queue);
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(1)), pass)
+        .expect("valid rule");
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(2)), drop)
+        .expect("valid rule");
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(3)), punt)
+        .expect("valid rule");
+    e.install_rule(TableId(0), MatchSpec::Class(ClassId(4)), queue)
+        .expect("valid rule");
     e
 }
 

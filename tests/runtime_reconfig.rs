@@ -189,8 +189,12 @@ fn controller_retunes_and_replaces_functions_mid_run() {
     let f = controller
         .install_program(&mut enclave, "sff", &bundle.source, &bundle.schema())
         .expect("compiles");
-    enclave.install_rule(TableId(0), MatchSpec::Class(class), f);
-    enclave.set_array(f, 0, vec![1 << 20, 5, i64::MAX, 0]);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(class), f)
+        .expect("valid rule");
+    enclave
+        .set_array(f, 0, vec![1 << 20, 5, i64::MAX, 0])
+        .expect("valid global array");
     net.node_mut::<Host<Ticker>>(sender).stack.set_hook(enclave);
     net.node_mut::<Host<PrioritySink>>(sink)
         .stack
@@ -206,7 +210,9 @@ fn controller_retunes_and_replaces_functions_mid_run() {
     {
         let host = net.node_mut::<Host<Ticker>>(sender);
         let enclave = host.stack.hook_mut::<Enclave>().expect("enclave installed");
-        enclave.set_array(f, 0, vec![1 << 20, 7, i64::MAX, 0]);
+        enclave
+            .set_array(f, 0, vec![1 << 20, 7, i64::MAX, 0])
+            .expect("valid global array");
     }
     net.run_until(Time::from_millis(10));
 
@@ -227,9 +233,11 @@ fn controller_retunes_and_replaces_functions_mid_run() {
             )
             .expect("decodes"),
         );
-        enclave.set_global(f2, 0, 2);
-        enclave.clear_table(TableId(0));
-        enclave.install_rule(TableId(0), MatchSpec::Class(class), f2);
+        enclave.set_global(f2, 0, 2).expect("valid global slot");
+        enclave.clear_table(TableId(0)).expect("valid table");
+        enclave
+            .install_rule(TableId(0), MatchSpec::Class(class), f2)
+            .expect("valid rule");
     }
     net.run_until(Time::from_millis(15));
 

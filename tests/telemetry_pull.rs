@@ -61,8 +61,12 @@ fn controller_pulls_snapshot_from_running_enclave() {
             .compile_function("sff", &bundle.source, &bundle.schema())
             .expect("compiles"),
     ));
-    enclave.install_rule(TableId(0), MatchSpec::Class(class), f);
-    enclave.set_array(f, 0, vec![10 * 1024, 7, i64::MAX, 0]);
+    enclave
+        .install_rule(TableId(0), MatchSpec::Class(class), f)
+        .expect("valid rule");
+    enclave
+        .set_array(f, 0, vec![10 * 1024, 7, i64::MAX, 0])
+        .expect("valid global array");
     enclave.set_opcode_profiling(true);
 
     let mut net = Network::new(9);
