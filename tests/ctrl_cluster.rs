@@ -8,7 +8,7 @@
 //! partition heals.
 
 use eden::core::{Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
-use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, TICK};
+use eden::ctrl::{ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, WireCounters, TICK};
 use eden::lang::{Access, HeaderField, Schema};
 use eden::netsim::{LinkId, LinkSpec, Network, NodeId, Switch, SwitchConfig, Time};
 use eden::transport::{app_timer_token, App, Host, Stack, StackConfig};
@@ -303,4 +303,81 @@ fn host_that_missed_every_epoch_converges_on_incremental_desired_state() {
         assert_eq!(e.config_digest(), want, "host {i}");
         assert!(e.serves_single_epoch());
     }
+}
+
+/// Steps `c` to `until` in 1 µs slices, appending `(desired epoch, time)`
+/// the first time each desired epoch satisfies `all_in_sync()`.
+fn advance_logging_sync(c: &mut Cluster, until: Time, log: &mut Vec<(u64, Time)>) {
+    let mut t = c.net.now();
+    while t < until {
+        t += Time::from_micros(1);
+        c.net.run_until(t);
+        let app = controller(c);
+        let epoch = app.desired_epoch();
+        if app.all_in_sync() && log.iter().all(|&(e, _)| e != epoch) {
+            log.push((epoch, t));
+        }
+    }
+}
+
+/// Exact transcript of a fixed-seed flat scenario: bootstrap, a push past
+/// a partitioned host, the heal and its resync, then an epoch one host
+/// nacks (abort, rollback, and the divergence epoch that re-absorbs it).
+/// Wire counters, per-epoch sync times and every host's final config are
+/// pinned, so any change to what the control loop sends, or when, shows.
+#[test]
+fn flat_transcript_is_pinned() {
+    let mut c = build_cluster(41, 3, CtrlConfig::default());
+    let mut log = Vec::new();
+    advance_logging_sync(&mut c, Time::from_millis(2), &mut log);
+
+    let cut = c.host_links[2];
+    c.net.set_link_down(cut, true);
+    controller(&mut c).set_desired(prio_ops(6)).expect("valid");
+    advance_logging_sync(&mut c, Time::from_millis(14), &mut log);
+    c.net.set_link_down(cut, false);
+    advance_logging_sync(&mut c, Time::from_millis(30), &mut log);
+
+    controller(&mut c).set_desired(prio_ops(2)).expect("valid");
+    advance_logging_sync(&mut c, Time::from_micros(30_100), &mut log);
+    {
+        let node = c.hosts[1].0;
+        let e = c
+            .net
+            .node_mut::<Host<Idle>>(node)
+            .stack
+            .hook_mut::<EnclaveAgent>()
+            .unwrap()
+            .enclave_mut();
+        e.stage_epoch(50, &[]).unwrap();
+        assert!(e.commit_epoch(50));
+    }
+    advance_logging_sync(&mut c, Time::from_millis(45), &mut log);
+
+    let wire = controller(&mut c).wire();
+    let leaves: Vec<(u64, u64)> = (0..3)
+        .map(|i| {
+            let e = agent_enclave(&mut c, i);
+            (e.active_epoch(), e.config_digest())
+        })
+        .collect();
+    assert_eq!(
+        wire,
+        WireCounters {
+            msgs_sent: 159,
+            bytes_sent: 2_672,
+            msgs_received: 141,
+            bytes_received: 4_962,
+            config_bytes_sent: 1_430,
+        }
+    );
+    assert_eq!(
+        log,
+        [
+            (0, Time::from_nanos(5_000)),
+            (1, Time::from_nanos(14_109_000)),
+            (51, Time::from_nanos(31_209_000)),
+        ]
+    );
+    assert_eq!(leaves, [(51, 0x3430_6253_96d1_8c99); 3]);
 }

@@ -11,7 +11,8 @@
 
 use eden::core::{Controller, Enclave, EnclaveConfig, EnclaveOp, MatchSpec};
 use eden::ctrl::{
-    AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, TICK,
+    AggConfig, AggregatorApp, ControllerApp, CtrlConfig, EnclaveAgent, HostStatus, WireCounters,
+    TICK,
 };
 use eden::lang::{Access, HeaderField, Schema};
 use eden::netsim::{LinkId, LinkSpec, Network, NodeId, Time, TwoTier};
@@ -33,6 +34,8 @@ struct Tree {
     racks: Vec<Vec<(NodeId, u32)>>,
     /// `[rack][child]` — each host's access link.
     child_links: Vec<Vec<LinkId>>,
+    /// `[rack]` — the rack's aggregator node.
+    aggs: Vec<NodeId>,
 }
 
 fn prio_ops(prio: u8) -> Vec<EnclaveOp> {
@@ -61,6 +64,7 @@ fn build_tree(seed: u64, racks: usize, per_rack: usize, cfg: CtrlConfig) -> Tree
     let mut ctrl = ControllerApp::new(cfg.clone(), &[]);
     let mut rack_hosts = Vec::new();
     let mut child_links = Vec::new();
+    let mut aggs = Vec::new();
     let mut next = 1u32;
     for rack in 0..racks {
         let mut hosts = Vec::new();
@@ -86,6 +90,7 @@ fn build_tree(seed: u64, racks: usize, per_rack: usize, cfg: CtrlConfig) -> Tree
         topo.attach(&mut net, rack, agg, agg_addr, LinkSpec::ten_gbps());
         net.schedule_timer(agg, Time::ZERO, app_timer_token(TICK));
         ctrl.manage_aggregator(agg_addr, children);
+        aggs.push(agg);
         rack_hosts.push(hosts);
         child_links.push(links);
     }
@@ -102,6 +107,7 @@ fn build_tree(seed: u64, racks: usize, per_rack: usize, cfg: CtrlConfig) -> Tree
         root,
         racks: rack_hosts,
         child_links,
+        aggs,
     }
 }
 
@@ -382,4 +388,129 @@ fn virtual_shards_report_their_whole_fleet() {
     let app = &mut net.node_mut::<Host<ControllerApp>>(rootn).app;
     assert_eq!(app.in_sync_hosts(), 1000);
     assert_eq!(app.host_status(AGG_BASE), Some(HostStatus::Up));
+}
+
+/// Steps `tree` to `until` in 1 µs slices, appending `(desired epoch,
+/// time)` the first time each desired epoch satisfies `all_in_sync()`.
+fn advance_logging_sync(tree: &mut Tree, until: Time, log: &mut Vec<(u64, Time)>) {
+    let mut t = tree.net.now();
+    while t < until {
+        t += Time::from_micros(1);
+        tree.net.run_until(t);
+        let app = root(tree);
+        let epoch = app.desired_epoch();
+        if app.all_in_sync() && log.iter().all(|&(e, _)| e != epoch) {
+            log.push((epoch, t));
+        }
+    }
+}
+
+/// Exact transcript of a fixed-seed hierarchical scenario: 2 racks × 4
+/// hosts under 1% uplink loss, one leaf partitioned across an epoch and
+/// healed, one leaf sabotaged so its shard's next delta misses the digest
+/// anchor and falls back to a full Prepare, four epochs in all. Root and
+/// aggregator wire counters, per-epoch sync times and every leaf's final
+/// config are pinned.
+#[test]
+fn hierarchical_transcript_is_pinned() {
+    let mut tree = build_tree(43, 2, 4, CtrlConfig::default());
+    for rack in 0..2 {
+        let uplink = tree.topo.racks[rack].uplink;
+        tree.net.set_link_loss_permille(uplink, 10);
+    }
+    let mut log = Vec::new();
+    advance_logging_sync(&mut tree, Time::from_millis(3), &mut log);
+
+    root(&mut tree).set_desired(prio_ops(1)).expect("valid ops");
+    advance_logging_sync(&mut tree, Time::from_millis(15), &mut log);
+
+    let cut = tree.child_links[0][1];
+    tree.net.set_link_down(cut, true);
+    root(&mut tree).set_desired(prio_ops(2)).expect("valid ops");
+    advance_logging_sync(&mut tree, Time::from_millis(30), &mut log);
+    tree.net.set_link_down(cut, false);
+    advance_logging_sync(&mut tree, Time::from_millis(50), &mut log);
+
+    // Between two of the leaf's heartbeats, so its aggregator still
+    // plans against the digest it last reported.
+    advance_logging_sync(&mut tree, Time::from_micros(50_300), &mut log);
+    let node = tree.racks[1][2].0;
+    tree.net
+        .node_mut::<Host<Idle>>(node)
+        .stack
+        .hook_mut::<EnclaveAgent>()
+        .expect("agent")
+        .enclave_mut()
+        .apply_op(EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Any,
+            func: 0,
+        })
+        .expect("sabotage applies");
+    // A one-rule change ships as a digest-anchored delta.
+    root(&mut tree)
+        .set_desired(vec![EnclaveOp::InstallRule {
+            table: 0,
+            spec: MatchSpec::Class(eden::core::ClassId(7)),
+            func: 0,
+        }])
+        .expect("valid on top of epoch 2");
+    advance_logging_sync(&mut tree, Time::from_millis(70), &mut log);
+
+    root(&mut tree).set_desired(prio_ops(4)).expect("valid ops");
+    advance_logging_sync(&mut tree, Time::from_millis(90), &mut log);
+
+    let root_wire = root(&mut tree).wire();
+    let agg_wire: Vec<WireCounters> = tree
+        .aggs
+        .iter()
+        .map(|&agg| tree.net.node::<Host<AggregatorApp>>(agg).app.wire())
+        .collect();
+    let mut leaves = Vec::new();
+    for rack in 0..2 {
+        for child in 0..4 {
+            let e = leaf_enclave(&mut tree, rack, child);
+            leaves.push((e.active_epoch(), e.config_digest()));
+        }
+    }
+    assert_eq!(
+        root_wire,
+        WireCounters {
+            msgs_sent: 198,
+            bytes_sent: 3_014,
+            msgs_received: 202,
+            bytes_received: 9_524,
+            config_bytes_sent: 1_012,
+        }
+    );
+    assert_eq!(
+        agg_wire,
+        [
+            WireCounters {
+                msgs_sent: 501,
+                bytes_sent: 9_789,
+                msgs_received: 475,
+                bytes_received: 12_639,
+                config_bytes_sent: 1_701,
+            },
+            WireCounters {
+                msgs_sent: 498,
+                bytes_sent: 9_563,
+                msgs_received: 490,
+                bytes_received: 13_174,
+                config_bytes_sent: 1_525,
+            },
+        ]
+    );
+    assert_eq!(
+        log,
+        [
+            (0, Time::from_nanos(1_007_000)),
+            (1, Time::from_nanos(3_122_000)),
+            (2, Time::from_nanos(31_007_000)),
+            (3, Time::from_nanos(50_426_000)),
+            (4, Time::from_nanos(70_122_000)),
+        ]
+    );
+    assert_eq!(leaves, [(4, 0xd2bd_be63_547d_3ee3); 8]);
 }
