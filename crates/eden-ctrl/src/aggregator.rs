@@ -8,10 +8,10 @@
 //! [`CtrlMsg::AggSync`] with an [`CtrlReply::AggPong`] summarizing its
 //! whole shard — children total, children converged, the highest epoch
 //! any child reports, a divergence flag, the shard's replication deltas
-//! (host-tagged), and its trace spans. To its *children* it looks like
-//! the controller: per-child heartbeats, tracked requests with retry and
-//! backoff, failure detection, two-phase shard rounds, and per-child
-//! delta-planned resync.
+//! (host-tagged), and its trace spans. To its *children* it runs the
+//! controller's own fleet engine: per-child heartbeats, tracked requests
+//! with retry and backoff, failure detection, two-phase shard rounds, and
+//! per-child delta-planned resync.
 //!
 //! The key design choice is that the shard is **autonomous**: the
 //! aggregator acks the root's `Commit` as soon as its own model commits,
@@ -36,13 +36,14 @@
 use eden_core::{ApplyError, Enclave, EnclaveConfig, EnclaveOp};
 use eden_repl::{FuncDelta, FuncView};
 use eden_telemetry::{EnclaveCounters, Span};
-use netsim::{Ctx, L4Header, Packet, Time, UdpHeader};
+use netsim::{Ctx, L4Header, Packet, SimRng, Time, UdpHeader};
 use transport::{App, Stack};
 
 use crate::agent::EnclaveAgent;
-use crate::controller::{CtrlConfig, HostStatus, WireCounters, TICK};
-use crate::delta::{self, ConfigModel, Version};
-use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
+use crate::controller::{flush, CtrlConfig, WireCounters, TICK};
+use crate::delta::ConfigModel;
+use crate::fleet::{Fleet, Version};
+use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply};
 
 /// Most child spans one AggPong relays to the root.
 const AGG_SPAN_BUDGET: usize = 64;
@@ -51,45 +52,11 @@ const AGG_SPAN_BUDGET: usize = 64;
 /// window).
 const AGG_HISTORY: usize = 8;
 
-/// Aggregator knobs: the shared control-plane timing plus this tier's
-/// own sizing, re-exported so scenarios configure one struct.
+/// Aggregator knobs: the control-plane timing and ports, the same
+/// [`CtrlConfig`] the root runs with.
 #[derive(Debug, Clone, Default)]
 pub struct AggConfig {
     pub ctrl: CtrlConfig,
-}
-
-struct ChildInflight {
-    msg_id: u32,
-    msg: CtrlMsg,
-    phase: AckPhase,
-    is_round: bool,
-    retries: u32,
-    next_retry: Time,
-    sent_at: Time,
-}
-
-struct ChildState {
-    addr: u32,
-    status: HostStatus,
-    last_heard: Time,
-    reported: Option<(u64, u64)>,
-    inflight: Option<ChildInflight>,
-    next_heartbeat: Time,
-    next_resync: Time,
-    resync_backoff: Time,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardPhase {
-    Preparing,
-    Committing,
-}
-
-struct ShardRound {
-    epoch: u64,
-    phase: ShardPhase,
-    pending: Vec<u32>,
-    acked: Vec<u32>,
 }
 
 /// In-process children for very large sweeps: `count` identical lossless
@@ -106,19 +73,16 @@ struct VirtualShard {
 
 /// A rack/pod aggregation tier endpoint (see module docs).
 pub struct AggregatorApp {
-    cfg: CtrlConfig,
+    /// The child face: liveness, tracked requests, shard rounds, resync,
+    /// and the committed versions (the last is the shard's config).
+    fleet: Fleet,
     /// An epoch the root prepared but has not yet committed, as the
     /// configuration its ops produce.
     staged: Option<(u64, ConfigModel)>,
     /// Root controller address and reply port, learned from its first
     /// request.
     parent: Option<(u32, u16)>,
-    /// Committed versions; the last is the shard's configuration.
-    history: Vec<Version>,
-    children: Vec<ChildState>,
     virtual_shard: Option<VirtualShard>,
-    round: Option<ShardRound>,
-    want_round: bool,
     /// Host-tagged replication views from the last AggSync, fanned down
     /// on each child's next heartbeat.
     views_down: Vec<(u32, FuncView)>,
@@ -127,49 +91,21 @@ pub struct AggregatorApp {
     deltas_up: Vec<(u32, FuncDelta)>,
     /// Child spans awaiting relay.
     spans_up: Vec<Span>,
-    reasm: Reassembler,
-    msg_seq: u32,
     reply_seq: u32,
-    nonce_seq: u64,
-    wire: WireCounters,
 }
 
 impl AggregatorApp {
     /// An aggregator fronting the enclave agents at `children`.
     pub fn new(cfg: AggConfig, children: &[u32]) -> AggregatorApp {
-        let history = vec![Version {
-            epoch: 0,
-            model: ConfigModel::new(),
-        }];
         AggregatorApp {
-            cfg: cfg.ctrl,
+            fleet: Fleet::new(cfg.ctrl, children),
             staged: None,
             parent: None,
-            history,
-            children: children
-                .iter()
-                .map(|&addr| ChildState {
-                    addr,
-                    status: HostStatus::Up,
-                    last_heard: Time::ZERO,
-                    reported: None,
-                    inflight: None,
-                    next_heartbeat: Time::ZERO,
-                    next_resync: Time::ZERO,
-                    resync_backoff: Time::ZERO,
-                })
-                .collect(),
             virtual_shard: None,
-            round: None,
-            want_round: false,
             views_down: Vec::new(),
             deltas_up: Vec::new(),
             spans_up: Vec::new(),
-            reasm: Reassembler::default(),
-            msg_seq: 0,
             reply_seq: 0,
-            nonce_seq: 0,
-            wire: WireCounters::default(),
         }
     }
 
@@ -192,20 +128,20 @@ impl AggregatorApp {
 
     /// The shard's committed epoch.
     pub fn committed_epoch(&self) -> u64 {
-        self.current().epoch
+        self.fleet.target().epoch
     }
 
     /// Children (real or virtual) this aggregator fronts.
     pub fn shard_size(&self) -> usize {
         match &self.virtual_shard {
             Some(v) => v.count,
-            None => self.children.len(),
+            None => self.fleet.members.len(),
         }
     }
 
     /// Children currently converged to the shard's committed config.
     pub fn shard_synced(&self) -> usize {
-        let want = self.want();
+        let want = self.fleet.want();
         match &self.virtual_shard {
             Some(v) => {
                 let e = v.agent.enclave();
@@ -216,7 +152,8 @@ impl AggregatorApp {
                 }
             }
             None => self
-                .children
+                .fleet
+                .members
                 .iter()
                 .filter(|c| c.reported == Some(want))
                 .count(),
@@ -225,21 +162,7 @@ impl AggregatorApp {
 
     /// Control-wire load counters at this endpoint (both faces).
     pub fn wire(&self) -> WireCounters {
-        self.wire
-    }
-
-    fn current(&self) -> &Version {
-        self.history.last().expect("history never empty")
-    }
-
-    /// The committed `(epoch, digest)` every child should report.
-    fn want(&self) -> (u64, u64) {
-        (self.current().epoch, self.current().model.digest())
-    }
-
-    /// The same plan choice the root makes, against the shard's history.
-    fn plan_child_prepare(&self, reported: Option<(u64, u64)>) -> CtrlMsg {
-        delta::plan_prepare(&self.history, reported, self.cfg.delta_updates)
+        self.fleet.wire
     }
 
     // ------------------------------------------------------------------
@@ -247,8 +170,8 @@ impl AggregatorApp {
     // ------------------------------------------------------------------
 
     /// Handle one reassembled root request. Pure with respect to the
-    /// network: child fan-out happens in [`drive`](Self::drive) /
-    /// [`tick`](Self::tick), which hold the stack. Public for direct
+    /// network: child fan-out happens in [`drive`](Self::drive), which
+    /// the packet and timer handlers run after it. Public for direct
     /// unit testing.
     pub fn handle_parent_msg(&mut self, re: u32, msg: CtrlMsg) -> CtrlReply {
         match msg {
@@ -260,13 +183,11 @@ impl AggregatorApp {
             } => self.stage(re, epoch, Some(base_digest), ops),
             CtrlMsg::Commit { epoch } => match self.staged.take_if(|(e, _)| *e == epoch) {
                 Some((_, model)) => {
-                    self.history.push(Version { epoch, model });
-                    if self.history.len() > AGG_HISTORY {
-                        self.history.remove(0);
-                    }
+                    self.fleet.push_version(Version { epoch, model });
+                    self.fleet.trim_history(AGG_HISTORY);
                     // The root's round is done with us; now walk the
                     // shard through the epoch in our own round.
-                    self.want_round = true;
+                    self.fleet.want_round = true;
                     CtrlReply::Ack {
                         re,
                         epoch,
@@ -300,7 +221,7 @@ impl AggregatorApp {
                 }
             }
             CtrlMsg::Heartbeat { nonce } => {
-                let (epoch, digest) = self.want();
+                let (epoch, digest) = self.fleet.want();
                 CtrlReply::Pong {
                     re,
                     nonce,
@@ -315,7 +236,7 @@ impl AggregatorApp {
             }
             CtrlMsg::PullStats => {
                 // The aggregator carries no traffic: zero counters.
-                let (epoch, digest) = self.want();
+                let (epoch, digest) = self.fleet.want();
                 CtrlReply::Stats {
                     re,
                     epoch,
@@ -336,7 +257,7 @@ impl AggregatorApp {
     }
 
     fn stage(&mut self, re: u32, epoch: u64, base: Option<u64>, ops: Vec<EnclaveOp>) -> CtrlReply {
-        let (active, have) = self.want();
+        let (active, have) = self.fleet.want();
         if epoch < active {
             return CtrlReply::Nack {
                 re,
@@ -354,7 +275,7 @@ impl AggregatorApp {
         let staged = match base {
             Some(want) if want != have => Err(ApplyError::DigestMismatch { have, want }),
             _ => {
-                let mut model = self.current().model.clone();
+                let mut model = self.fleet.target().model.clone();
                 model.apply(&ops).map(|()| model)
             }
         };
@@ -377,7 +298,7 @@ impl AggregatorApp {
 
     /// Summarize the shard for the root.
     fn agg_pong(&mut self, re: u32, nonce: u64) -> CtrlReply {
-        let (epoch, digest) = self.want();
+        let (epoch, digest) = self.fleet.want();
         let (hosts_total, hosts_synced, max_epoch, diverged) = match &self.virtual_shard {
             Some(v) => {
                 let e = v.agent.enclave();
@@ -392,7 +313,7 @@ impl AggregatorApp {
                 let mut synced = 0u32;
                 let mut max_epoch = 0u64;
                 let mut diverged = false;
-                for c in &self.children {
+                for c in &self.fleet.members {
                     let Some(r) = c.reported else { continue };
                     max_epoch = max_epoch.max(r.0);
                     if r == (epoch, digest) {
@@ -401,7 +322,7 @@ impl AggregatorApp {
                         diverged = true;
                     }
                 }
-                (self.children.len() as u32, synced, max_epoch, diverged)
+                (self.fleet.members.len() as u32, synced, max_epoch, diverged)
             }
         };
         let take = AGG_SPAN_BUDGET.min(self.spans_up.len());
@@ -423,148 +344,42 @@ impl AggregatorApp {
     // child face
     // ------------------------------------------------------------------
 
-    fn send_child(
-        &mut self,
-        child_idx: usize,
-        msg: CtrlMsg,
-        phase: AckPhase,
-        is_round: bool,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) {
-        self.msg_seq = self.msg_seq.wrapping_add(1);
-        let id = self.msg_seq;
-        let to = self.children[child_idx].addr;
-        let udp = UdpHeader {
-            src_port: self.cfg.src_port,
-            dst_port: self.cfg.ctrl_port,
-        };
-        let payload = proto::encode_msg(&msg);
-        self.wire.sent(&msg, payload.len());
-        for frame in proto::fragment(id, &payload) {
-            stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-        }
-        let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-        self.children[child_idx].inflight = Some(ChildInflight {
-            msg_id: id,
-            msg,
-            phase,
-            is_round,
-            retries: 0,
-            next_retry: ctx.now() + self.cfg.retry_base + jitter,
-            sent_at: ctx.now(),
-        });
-    }
-
-    fn tick(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-
-        // Failure detection mirrors the root's: silence past the
-        // threshold drops a child from the current shard round; its
-        // next pong flips it back Up and reconciliation catches it up.
-        for i in 0..self.children.len() {
-            let silent = now
-                .as_nanos()
-                .saturating_sub(self.children[i].last_heard.as_nanos())
-                > self.cfg.fail_after.as_nanos();
-            if self.children[i].status == HostStatus::Up && silent {
-                self.mark_down(i);
-            }
-        }
-
+    fn tick(&mut self, now: Time, rng: &mut SimRng) {
         // Per-child heartbeats, carrying that child's replication views
         // from the last AggSync fan-down.
-        for i in 0..self.children.len() {
-            if now < self.children[i].next_heartbeat {
-                continue;
-            }
-            self.nonce_seq += 1;
-            let to = self.children[i].addr;
-            let msg = CtrlMsg::Heartbeat {
-                nonce: self.nonce_seq,
-            };
-            let views: Vec<FuncView> = self
-                .views_down
+        let views_down = &self.views_down;
+        self.fleet.heartbeat(now, |_, to, nonce| {
+            let msg = CtrlMsg::Heartbeat { nonce };
+            let views: Vec<FuncView> = views_down
                 .iter()
                 .filter(|(h, _)| *h == to)
                 .map(|(_, v)| v.clone())
                 .collect();
-            self.msg_seq = self.msg_seq.wrapping_add(1);
-            let id = self.msg_seq;
-            let udp = UdpHeader {
-                src_port: self.cfg.src_port,
-                dst_port: self.cfg.ctrl_port,
-            };
             let payload = proto::encode_msg_synced(&msg, &views, None);
-            self.wire.sent(&msg, payload.len());
-            for frame in proto::fragment(id, &payload) {
-                stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-            }
-            self.children[i].next_heartbeat = now + self.cfg.heartbeat_every;
-        }
-
-        // Retransmits with backoff; exhausted retries mark the child down.
-        for i in 0..self.children.len() {
-            let Some(inflight) = self.children[i].inflight.as_ref() else {
-                continue;
-            };
-            if now < inflight.next_retry {
-                continue;
-            }
-            if inflight.retries >= self.cfg.max_retries {
-                self.mark_down(i);
-                continue;
-            }
-            let to = self.children[i].addr;
-            let inflight = self.children[i].inflight.as_ref().unwrap();
-            let (id, msg) = (inflight.msg_id, inflight.msg.clone());
-            let udp = UdpHeader {
-                src_port: self.cfg.src_port,
-                dst_port: self.cfg.ctrl_port,
-            };
-            let payload = proto::encode_msg(&msg);
-            self.wire.sent(&msg, payload.len());
-            for frame in proto::fragment(id, &payload) {
-                stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-            }
-            let inflight = self.children[i].inflight.as_mut().unwrap();
-            inflight.retries += 1;
-            inflight.sent_at = now;
-            let base = self.cfg.retry_base.as_nanos() << inflight.retries.min(20);
-            let backoff = Time::from_nanos(base.min(self.cfg.retry_max.as_nanos()));
-            let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-            self.children[i].inflight.as_mut().unwrap().next_retry = now + backoff + jitter;
-        }
-
-        self.drive(stack, ctx);
-        ctx.timer_in(self.cfg.tick_every, transport::app_timer_token(TICK));
+            (msg, payload)
+        });
+        self.fleet.retransmit(now, rng);
+        self.drive(now, rng);
     }
 
-    fn mark_down(&mut self, i: usize) {
-        self.children[i].status = HostStatus::Down;
-        self.children[i].inflight = None;
-        let addr = self.children[i].addr;
-        if let Some(round) = self.round.as_mut() {
-            round.pending.retain(|&a| a != addr);
-        }
-    }
-
-    /// Open a pending shard round and/or push its phase; reconcile
-    /// stragglers when idle. Called wherever the stack is in hand.
-    fn drive(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+    /// Advance or open the shard round, reporting the shard when one
+    /// completes; reconcile stragglers when idle. A child *ahead* of the
+    /// shard (or at its epoch with the wrong digest) cannot be healed
+    /// here — the aggregator cannot mint epochs — so it is only reported
+    /// up via AggPong's `max_epoch`/`diverged` and the root re-issues a
+    /// fresh epoch.
+    fn drive(&mut self, now: Time, rng: &mut SimRng) {
         if self.virtual_shard.is_some() {
             if self.drive_virtual() {
-                self.report_shard(stack, ctx);
+                self.report_shard();
             }
             return;
         }
-        if self.want_round && self.round.is_none() {
-            self.want_round = false;
-            self.open_shard_round(stack, ctx);
+        if self.fleet.drive(now, rng, || None).is_some() {
+            self.report_shard();
         }
-        self.push_shard_phase(stack, ctx);
-        if self.round.is_none() {
-            self.reconcile(stack, ctx);
+        if !self.fleet.in_round() {
+            self.fleet.reconcile(now, rng, |_, _| false);
         }
     }
 
@@ -573,34 +388,35 @@ impl AggregatorApp {
     /// executes the exchange and the wire tally scales by `count`.
     /// Returns whether a round ran.
     fn drive_virtual(&mut self) -> bool {
-        if !self.want_round {
+        if !std::mem::take(&mut self.fleet.want_round) {
             return false;
         }
-        self.want_round = false;
-        let epoch = self.current().epoch;
+        let epoch = self.fleet.target().epoch;
         let Some(mut v) = self.virtual_shard.take() else {
             return false;
         };
         let e = v.agent.enclave();
-        let prep = self.plan_child_prepare(Some((e.active_epoch(), e.config_digest())));
+        let prep = self.fleet.plan(Some((e.active_epoch(), e.config_digest())));
         let commit = CtrlMsg::Commit { epoch };
         for msg in [prep, commit] {
             let bytes = proto::encode_msg(&msg).len();
             v.seq = v.seq.wrapping_add(1);
             let reply = v.agent.handle(v.seq, msg.clone());
+            let wire = &mut self.fleet.wire;
             for _ in 0..v.count {
-                self.wire.sent(&msg, bytes);
+                wire.sent(&msg, bytes);
             }
-            self.wire.msgs_received += v.count as u64;
-            self.wire.bytes_received += (proto::encode_reply(&reply).len() * v.count) as u64;
+            wire.msgs_received += v.count as u64;
+            wire.bytes_received += (proto::encode_reply(&reply).len() * v.count) as u64;
             if matches!(reply, CtrlReply::Nack { .. }) {
                 // Digest anchor missed (template diverged): full resync.
                 v.seq = v.seq.wrapping_add(1);
-                let full = self.plan_child_prepare(None);
+                let full = self.fleet.plan(None);
                 let bytes = proto::encode_msg(&full).len();
                 v.agent.handle(v.seq, full.clone());
+                let wire = &mut self.fleet.wire;
                 for _ in 0..v.count {
-                    self.wire.sent(&full, bytes);
+                    wire.sent(&full, bytes);
                 }
                 v.seq = v.seq.wrapping_add(1);
                 v.agent.handle(v.seq, CtrlMsg::Commit { epoch });
@@ -610,132 +426,26 @@ impl AggregatorApp {
         true
     }
 
-    fn open_shard_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let epoch = self.current().epoch;
-        let targets: Vec<usize> = (0..self.children.len())
-            .filter(|&i| self.children[i].status == HostStatus::Up)
-            .collect();
-        if targets.is_empty() {
-            return;
-        }
-        let mut pending = Vec::with_capacity(targets.len());
-        let mut plans: Vec<((u64, u64), CtrlMsg)> = Vec::new();
-        for i in targets {
-            let msg = match self.children[i].reported {
-                Some(base) => match plans.iter().find(|(b, _)| *b == base) {
-                    Some((_, m)) => m.clone(),
-                    None => {
-                        let m = self.plan_child_prepare(Some(base));
-                        plans.push((base, m.clone()));
-                        m
-                    }
-                },
-                None => self.plan_child_prepare(None),
-            };
-            self.send_child(i, msg, AckPhase::Prepare, true, stack, ctx);
-            pending.push(self.children[i].addr);
-        }
-        self.round = Some(ShardRound {
-            epoch,
-            phase: ShardPhase::Preparing,
-            pending,
-            acked: Vec::new(),
-        });
-    }
-
-    fn push_shard_phase(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        if !round.pending.is_empty() {
-            return;
-        }
-        match round.phase {
-            ShardPhase::Preparing => {
-                let epoch = round.epoch;
-                let acked = round.acked.clone();
-                if acked.is_empty() {
-                    self.round = None;
-                    return;
-                }
-                let mut pending = Vec::with_capacity(acked.len());
-                for addr in acked {
-                    if let Some(i) = self.children.iter().position(|c| c.addr == addr) {
-                        if self.children[i].status != HostStatus::Up {
-                            continue;
-                        }
-                        self.send_child(
-                            i,
-                            CtrlMsg::Commit { epoch },
-                            AckPhase::Commit,
-                            true,
-                            stack,
-                            ctx,
-                        );
-                        pending.push(addr);
-                    }
-                }
-                let round = self.round.as_mut().unwrap();
-                round.phase = ShardPhase::Committing;
-                round.pending = pending;
-                if self.round.as_ref().unwrap().pending.is_empty() {
-                    self.round = None;
-                }
-            }
-            ShardPhase::Committing => {
-                self.round = None;
-                self.report_shard(stack, ctx);
-            }
-        }
-    }
-
     /// A finished shard round changes what the root's convergence check
     /// depends on: report the shard now instead of at the next AggSync.
-    fn report_shard(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+    fn report_shard(&mut self) {
         let pong = self.agg_pong(0, 0);
-        self.send_parent(&pong, stack, ctx);
+        self.send_parent(&pong);
     }
 
-    fn send_parent(&mut self, reply: &CtrlReply, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+    fn send_parent(&mut self, reply: &CtrlReply) {
         let Some((to, port)) = self.parent else {
             return;
         };
         self.reply_seq = self.reply_seq.wrapping_add(1);
+        let encoded = proto::encode_reply(reply);
+        self.fleet.wire.msgs_sent += 1;
+        self.fleet.wire.bytes_sent += encoded.len() as u64;
         let udp = UdpHeader {
-            src_port: self.cfg.ctrl_port,
+            src_port: self.fleet.cfg.ctrl_port,
             dst_port: port,
         };
-        let encoded = proto::encode_reply(reply);
-        self.wire.msgs_sent += 1;
-        self.wire.bytes_sent += encoded.len() as u64;
-        for f in proto::fragment(self.reply_seq, &encoded) {
-            stack.send_raw(Packet::ctrl(stack.addr, to, udp, f), ctx);
-        }
-    }
-
-    /// Children whose report differs from the shard's committed config
-    /// get an individual delta-planned prepare/commit. A child *ahead*
-    /// of the shard (or at its epoch with the wrong digest) cannot be
-    /// healed here — the aggregator cannot mint epochs — so it is only
-    /// reported up via AggPong's `max_epoch`/`diverged` and the root
-    /// re-issues a fresh epoch.
-    fn reconcile(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let want = self.want();
-        for i in 0..self.children.len() {
-            let c = &self.children[i];
-            if c.status != HostStatus::Up || c.inflight.is_some() || now < c.next_resync {
-                continue;
-            }
-            let Some(reported) = c.reported else {
-                continue;
-            };
-            if reported == want || reported.0 >= want.0 {
-                continue;
-            }
-            let msg = self.plan_child_prepare(Some(reported));
-            self.send_child(i, msg, AckPhase::Prepare, false, stack, ctx);
-        }
+        self.fleet.enqueue(to, udp, self.reply_seq, &encoded);
     }
 
     fn handle_child_reply(
@@ -743,25 +453,20 @@ impl AggregatorApp {
         from: u32,
         reply: CtrlReply,
         deltas: Vec<FuncDelta>,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
+        now: Time,
+        rng: &mut SimRng,
     ) {
-        let now = ctx.now();
-        let Some(i) = self.children.iter().position(|c| c.addr == from) else {
+        let Some(heard) = self.fleet.on_reply(now, rng, from, &reply) else {
             return;
         };
-        self.children[i].last_heard = now;
-        if self.children[i].status == HostStatus::Down {
-            self.children[i].status = HostStatus::Up;
+        if heard.prepare_nacked {
+            // The shard cannot abort — the root already committed this
+            // epoch. Drop the child from the round; the reconciler (with
+            // backoff) keeps trying.
+            self.fleet.give_up(heard.member, now);
         }
         match reply {
-            CtrlReply::Pong {
-                epoch,
-                digest,
-                spans,
-                ..
-            } => {
-                self.children[i].reported = Some((epoch, digest));
+            CtrlReply::Pong { spans, .. } => {
                 self.buffer_spans(spans);
                 for d in deltas {
                     self.deltas_up
@@ -769,97 +474,11 @@ impl AggregatorApp {
                     self.deltas_up.push((from, d));
                 }
             }
-            CtrlReply::Ack { re, epoch, phase } => {
-                let matches = self.children[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re && f.phase == phase);
-                if !matches {
-                    return;
-                }
-                let is_round = self.children[i].inflight.as_ref().unwrap().is_round;
-                self.children[i].inflight = None;
-                match (is_round, phase) {
-                    (true, AckPhase::Prepare) => {
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                            round.acked.push(from);
-                        }
-                        self.push_shard_phase(stack, ctx);
-                    }
-                    (true, AckPhase::Commit) => {
-                        if let Some(d) = delta::digest_of(&self.history, epoch) {
-                            self.children[i].reported = Some((epoch, d));
-                        }
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.push_shard_phase(stack, ctx);
-                    }
-                    (false, AckPhase::Prepare) => {
-                        self.send_child(
-                            i,
-                            CtrlMsg::Commit { epoch },
-                            AckPhase::Commit,
-                            false,
-                            stack,
-                            ctx,
-                        );
-                    }
-                    (false, AckPhase::Commit) => {
-                        if let Some(d) = delta::digest_of(&self.history, epoch) {
-                            self.children[i].reported = Some((epoch, d));
-                        }
-                        self.children[i].resync_backoff = Time::ZERO;
-                        self.children[i].next_resync = now;
-                    }
-                    (_, AckPhase::Abort) => {}
-                }
-            }
-            CtrlReply::Nack { re, epoch, .. } => {
-                let matches = self.children[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re);
-                if !matches {
-                    return;
-                }
-                let (was_delta, is_round, phase) = {
-                    let f = self.children[i].inflight.as_ref().unwrap();
-                    (
-                        matches!(f.msg, CtrlMsg::DeltaPrepare { .. }),
-                        f.is_round,
-                        f.phase,
-                    )
-                };
-                self.children[i].inflight = None;
-                if was_delta && phase == AckPhase::Prepare && epoch == self.current().epoch {
-                    // Digest anchor missed: the same fallback the root
-                    // uses — full rebuild on the same track.
-                    let msg = self.plan_child_prepare(None);
-                    self.send_child(i, msg, AckPhase::Prepare, is_round, stack, ctx);
-                    return;
-                }
-                if is_round {
-                    // The shard cannot abort — the root already committed
-                    // this epoch. Drop the child from the round; the
-                    // reconciler (with backoff) keeps trying.
-                    if let Some(round) = self.round.as_mut() {
-                        round.pending.retain(|&a| a != from);
-                    }
-                    self.push_shard_phase(stack, ctx);
-                }
-                let b = self.children[i].resync_backoff.as_nanos();
-                let next = (b * 2).clamp(
-                    self.cfg.retry_base.as_nanos(),
-                    self.cfg.fail_after.as_nanos() * 4,
-                );
-                self.children[i].resync_backoff = Time::from_nanos(next);
-                self.children[i].next_resync = now + Time::from_nanos(next);
-            }
             CtrlReply::Spans { spans, .. } => self.buffer_spans(spans),
-            // Stats / AggPong from a child are unexpected here; drop.
             _ => {}
+        }
+        if self.fleet.advance(now, rng).is_some() {
+            self.report_shard();
         }
     }
 
@@ -876,7 +495,10 @@ impl AggregatorApp {
 impl App for AggregatorApp {
     fn on_timer(&mut self, token: u64, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         if token == TICK {
-            self.tick(stack, ctx);
+            let now = ctx.now();
+            self.tick(now, ctx.rng());
+            flush(&mut self.fleet, stack, ctx);
+            ctx.timer_in(self.fleet.cfg.tick_every, transport::app_timer_token(TICK));
         }
     }
 
@@ -888,31 +510,34 @@ impl App for AggregatorApp {
             return;
         };
         let from = packet.ip.src;
-        let payload = match self.reasm.accept(from, frame) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(_) => return,
+        let Some(payload) = self.fleet.accept(from, frame) else {
+            return;
         };
-        self.wire.msgs_received += 1;
-        self.wire.bytes_received += payload.len() as u64;
-        if udp.dst_port == self.cfg.ctrl_port {
+        let now = ctx.now();
+        if udp.dst_port == self.fleet.cfg.ctrl_port {
             // Root request. The request's message id doubles as `re`.
-            let re = u32::from_le_bytes(frame[2..6].try_into().unwrap());
+            let re = u32::from_le_bytes(
+                frame[2..6]
+                    .try_into()
+                    .expect("reassembled frames carry an id"),
+            );
             let Ok((msg, _views, _ctx)) = proto::decode_msg_synced(&payload) else {
                 return;
             };
             self.parent = Some((from, udp.src_port));
             let reply = self.handle_parent_msg(re, msg);
-            self.send_parent(&reply, stack, ctx);
+            self.send_parent(&reply);
             // A commit may have queued the shard round: open it now
             // rather than waiting out the tick.
-            self.drive(stack, ctx);
-        } else if udp.dst_port == self.cfg.src_port {
+            self.drive(now, ctx.rng());
+        } else if udp.dst_port == self.fleet.cfg.src_port {
             // Child reply.
             let Ok((reply, deltas)) = proto::decode_reply_synced(&payload) else {
                 return;
             };
-            self.handle_child_reply(from, reply, deltas, stack, ctx);
+            self.handle_child_reply(from, reply, deltas, now, ctx.rng());
         }
+        flush(&mut self.fleet, stack, ctx);
     }
 }
 
@@ -957,9 +582,9 @@ mod tests {
         let r = a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
         assert!(matches!(r, CtrlReply::Ack { epoch: 1, .. }));
         assert_eq!(a.committed_epoch(), 1);
-        assert!(a.want_round, "commit queues the shard round");
-        assert_eq!(a.history.len(), 2);
-        assert_eq!(a.current().model.to_full_ops()[0], EnclaveOp::Reset);
+        assert!(a.fleet.want_round, "commit queues the shard round");
+        assert_eq!(a.fleet.history.len(), 2);
+        assert_eq!(a.fleet.target().model.to_full_ops()[0], EnclaveOp::Reset);
     }
 
     #[test]
@@ -973,7 +598,7 @@ mod tests {
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
-        let anchor = a.current().model.digest();
+        let anchor = a.fleet.target().model.digest();
 
         // Anchored delta appends one rule.
         let delta_ops = vec![EnclaveOp::InstallRule {
@@ -992,7 +617,7 @@ mod tests {
         assert!(matches!(r, CtrlReply::Ack { epoch: 2, .. }));
         a.handle_parent_msg(4, CtrlMsg::Commit { epoch: 2 });
         assert_eq!(a.committed_epoch(), 2);
-        assert_eq!(a.current().model.rule_count(), 2);
+        assert_eq!(a.fleet.target().model.rule_count(), 2);
 
         // A wrong anchor nacks with the digest-mismatch reason.
         let r = a.handle_parent_msg(
@@ -1022,10 +647,10 @@ mod tests {
             },
         );
         a.handle_parent_msg(2, CtrlMsg::Commit { epoch: 1 });
-        let want = (a.current().epoch, a.current().model.digest());
-        a.children[0].reported = Some(want);
-        a.children[1].reported = Some((0, 7)); // lagging
-        a.children[2].reported = Some((want.0, 999)); // diverged
+        let want = (a.fleet.target().epoch, a.fleet.target().model.digest());
+        a.fleet.members[0].reported = Some(want);
+        a.fleet.members[1].reported = Some((0, 7)); // lagging
+        a.fleet.members[2].reported = Some((want.0, 999)); // diverged
 
         let r = a.handle_parent_msg(
             3,
@@ -1112,11 +737,11 @@ mod tests {
             CtrlReply::Nack { .. }
         ));
         // duplicate commit: ack, history unchanged
-        let len = a.history.len();
+        let len = a.fleet.history.len();
         assert!(matches!(
             a.handle_parent_msg(5, CtrlMsg::Commit { epoch: 1 }),
             CtrlReply::Ack { .. }
         ));
-        assert_eq!(a.history.len(), len);
+        assert_eq!(a.fleet.history.len(), len);
     }
 }

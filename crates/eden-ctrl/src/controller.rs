@@ -28,6 +28,10 @@
 //! backoff with jitter; message ids correlate replies, so a late duplicate
 //! ack can never be mistaken for the answer to a newer request.
 //!
+//! The mechanics — liveness, tracked requests, rounds, resync, reply
+//! correlation and delta planning — are the crate's fleet engine, which
+//! every aggregator runs too; this module holds the root's policy on top.
+//!
 //! The driver must kick the timer wheel once:
 //!
 //! ```ignore
@@ -40,11 +44,12 @@ use eden_telemetry::{
     ClusterStats, EnclaveCounters, FlightDump, FlightEvent, FlightKind, FlightRing, HostReport,
     LatencyStat, LogHistogram, ReplLag, Span, TraceContext, TraceStore,
 };
-use netsim::{Ctx, Packet, Time, UdpHeader};
+use netsim::{Ctx, Packet, SimRng, Time};
 use transport::{App, Stack};
 
-use crate::delta::{self, ConfigModel, Version};
-use crate::proto::{self, AckPhase, CtrlMsg, CtrlReply, Reassembler};
+use crate::delta::ConfigModel;
+use crate::fleet::{Fleet, RoundDone, Version};
+use crate::proto::{self, CtrlMsg, CtrlReply};
 
 /// Timer payload of the controller's periodic tick (pass through
 /// [`transport::app_timer_token`] when scheduling the first one).
@@ -152,121 +157,44 @@ pub enum HostStatus {
     Down,
 }
 
-/// Whether an in-flight request belongs to a cluster-wide round or a
-/// single-host resync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    Round,
-    Resync,
+/// What the root knows of a rack/pod aggregator's shard, from its last
+/// [`CtrlReply::AggPong`].
+struct Subtree {
+    children: Vec<u32>,
+    /// Children converged to the aggregator's `(epoch, digest)` at that
+    /// time, and that pair: the count only vouches for the desired config
+    /// when the pair is the desired one.
+    synced: u32,
+    synced_to: Option<(u64, u64)>,
+    /// Highest epoch any child reports, and whether some child serves the
+    /// epoch with a wrong digest.
+    max_epoch: u64,
+    diverged: bool,
 }
 
-#[derive(Debug)]
-struct Inflight {
-    msg_id: u32,
-    msg: CtrlMsg,
-    phase: AckPhase,
-    origin: Origin,
-    retries: u32,
-    next_retry: Time,
-    /// Trace context the frames carry (retransmits must re-append it).
-    ctx: Option<TraceContext>,
-    /// When the most recent transmission left, for the RTT histogram.
-    sent_at: Time,
-}
-
-#[derive(Debug)]
-struct HostState {
-    addr: u32,
-    status: HostStatus,
-    last_heard: Time,
-    ever_heard: bool,
-    /// Last `(epoch, digest)` the host reported (pong or stats).
-    reported: Option<(u64, u64)>,
-    inflight: Option<Inflight>,
-    next_heartbeat: Time,
-    /// Earliest time the reconciler may try this host again after a
-    /// failed resync (doubles per failure, resets on success).
-    next_resync: Time,
-    resync_backoff: Time,
-    /// `Some(children)` marks this entry as a rack/pod aggregator
-    /// fronting those hosts: heartbeats become [`CtrlMsg::AggSync`] and
-    /// its pongs summarize the whole shard.
-    subtree: Option<Vec<u32>>,
-    /// From the last AggPong: children converged to the agg's
-    /// `(epoch, digest)` at that time, and that pair — the count only
-    /// vouches for the desired config when the pair is the desired one.
-    subtree_synced: u32,
-    subtree_synced_to: Option<(u64, u64)>,
-    /// From the last AggPong: highest epoch any child reports, and
-    /// whether some child serves the epoch with a wrong digest.
-    subtree_max_epoch: u64,
-    subtree_diverged: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundPhase {
-    Preparing,
-    Committing,
-    Aborting,
-}
-
-#[derive(Debug)]
-struct Round {
-    epoch: u64,
-    phase: RoundPhase,
-    /// Hosts whose ack for the current phase is still outstanding.
-    pending: Vec<u32>,
-    /// Hosts that acked `Prepare` (the commit/abort fan-out set).
-    acked: Vec<u32>,
-    /// Trace this round's messages belong to (0 = untraced).
-    trace_id: u64,
-    /// Root span id agents parent their phase spans under.
-    root_span: u64,
-    /// When the round opened — the root span's start and the
-    /// `epoch.converge` sample's origin.
-    opened_at: Time,
-}
-
-fn new_host_state(addr: u32) -> HostState {
-    HostState {
-        addr,
-        status: HostStatus::Up,
-        last_heard: Time::ZERO,
-        ever_heard: false,
-        reported: None,
-        inflight: None,
-        next_heartbeat: Time::ZERO,
-        next_resync: Time::ZERO,
-        resync_backoff: Time::ZERO,
-        subtree: None,
-        subtree_synced: 0,
-        subtree_synced_to: None,
-        subtree_max_epoch: 0,
-        subtree_diverged: false,
+/// Put the engine's queued frames on the wire, in order.
+pub(crate) fn flush(fleet: &mut Fleet, stack: &mut Stack, ctx: &mut Ctx<'_>) {
+    for (to, udp, frame) in fleet.outbox.drain(..) {
+        stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
     }
 }
 
 /// The cluster controller, run as a host [`App`].
 pub struct ControllerApp {
-    cfg: CtrlConfig,
+    /// Liveness, tracked requests, rounds, resync and the desired-state
+    /// history (the last version is desired; a nacked round rolls back).
+    fleet: Fleet,
     /// Compilation front end, for building [`EnclaveOp`] lists
     /// (`core.plan_function(...)`).
     pub core: eden_core::Controller,
-    hosts: Vec<HostState>,
-    /// Desired-state history; the last entry is current. Kept so a
-    /// nacked round can roll back to the previous version.
-    history: Vec<Version>,
+    /// Per member: `Some` marks a rack/pod aggregator fronting that shard.
+    /// Its heartbeats become [`CtrlMsg::AggSync`] and its pongs summarize
+    /// the whole shard.
+    subtrees: Vec<Option<Subtree>>,
     /// Control-plane black box: desired-state versions and divergences,
     /// frozen and emitted per `EDEN_FLIGHT` when a host diverges.
     flight: FlightRing,
-    round: Option<Round>,
-    /// Set by [`set_desired`](Self::set_desired); the next tick opens the
-    /// round (sending needs the stack, which only event handlers hold).
-    want_round: bool,
     cluster: ClusterStats,
-    reasm: Reassembler,
-    msg_seq: u32,
-    nonce_seq: u64,
     next_stats: Time,
     /// Cross-host span assembly (pong piggybacks + `PullTrace` replies +
     /// the controller's own round roots).
@@ -287,29 +215,17 @@ pub struct ControllerApp {
     repl_staleness: LogHistogram,
     /// Wire size of each pong's delta section.
     repl_delta_bytes: LogHistogram,
-    /// Control-wire load at this (root) endpoint.
-    wire: WireCounters,
 }
 
 impl ControllerApp {
     /// A controller managing the enclave agents at `hosts`.
     pub fn new(cfg: CtrlConfig, hosts: &[u32]) -> ControllerApp {
-        let history = vec![Version {
-            epoch: 0,
-            model: ConfigModel::new(),
-        }];
         ControllerApp {
-            cfg,
+            fleet: Fleet::new(cfg, hosts),
             core: eden_core::Controller::new(),
-            hosts: hosts.iter().map(|&addr| new_host_state(addr)).collect(),
-            history,
+            subtrees: hosts.iter().map(|_| None).collect(),
             flight: FlightRing::new(FLIGHT_CAPACITY),
-            round: None,
-            want_round: false,
             cluster: ClusterStats::new(),
-            reasm: Reassembler::default(),
-            msg_seq: 0,
-            nonce_seq: 0,
             next_stats: Time::ZERO,
             trace: TraceStore::new(4096),
             span_seq: 0,
@@ -318,7 +234,6 @@ impl ControllerApp {
             repl: ReplHub::new(),
             repl_staleness: LogHistogram::new(),
             repl_delta_bytes: LogHistogram::new(),
-            wire: WireCounters::default(),
         }
     }
 
@@ -329,14 +244,17 @@ impl ControllerApp {
     /// one [`CtrlReply::AggPong`] — root message count is
     /// O(#aggregators), not O(#hosts).
     pub fn manage_aggregator(&mut self, addr: u32, children: Vec<u32>) {
-        match self.hosts.iter_mut().find(|h| h.addr == addr) {
-            Some(h) => h.subtree = Some(children),
-            None => {
-                let mut h = new_host_state(addr);
-                h.subtree = Some(children);
-                self.hosts.push(h);
-            }
-        }
+        let i = self.fleet.position(addr).unwrap_or_else(|| {
+            self.subtrees.push(None);
+            self.fleet.add_member(addr)
+        });
+        self.subtrees[i] = Some(Subtree {
+            children,
+            synced: 0,
+            synced_to: None,
+            max_epoch: 0,
+            diverged: false,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -372,11 +290,11 @@ impl ControllerApp {
     /// additionally vouches for its shard: every child it fronts must
     /// have converged too.
     pub fn all_in_sync(&self) -> bool {
-        let want = self.want();
-        self.hosts.iter().all(|h| {
-            h.reported == Some(want)
-                && h.subtree.as_ref().is_none_or(|c| {
-                    h.subtree_synced_to == Some(want) && h.subtree_synced as usize == c.len()
+        let want = self.fleet.want();
+        self.fleet.members.iter().zip(&self.subtrees).all(|(m, s)| {
+            m.reported == Some(want)
+                && s.as_ref().is_none_or(|s| {
+                    s.synced_to == Some(want) && s.synced as usize == s.children.len()
                 })
         })
     }
@@ -385,51 +303,51 @@ impl ControllerApp {
     /// digest (an aggregator counts as one endpoint here; see
     /// [`in_sync_hosts`](Self::in_sync_hosts) for the leaf count).
     pub fn in_sync_count(&self) -> usize {
-        let want = self.want();
-        self.hosts
+        let want = Some(self.fleet.want());
+        self.fleet
+            .members
             .iter()
-            .filter(|h| h.reported == Some(want))
+            .filter(|m| m.reported == want)
             .count()
     }
 
     /// Total enclave-bearing hosts under management: direct hosts plus
     /// every aggregator's children.
     pub fn fleet_size(&self) -> usize {
-        self.hosts
+        self.subtrees
             .iter()
-            .map(|h| h.subtree.as_ref().map_or(1, Vec::len))
+            .map(|s| s.as_ref().map_or(1, |s| s.children.len()))
             .sum()
     }
 
     /// Leaf hosts currently converged to desired state, counting each
     /// aggregator's last-reported shard tally.
     pub fn in_sync_hosts(&self) -> usize {
-        let want = self.want();
-        self.hosts
-            .iter()
-            .map(|h| match &h.subtree {
-                Some(_) if h.reported == Some(want) && h.subtree_synced_to == Some(want) => {
-                    h.subtree_synced as usize
-                }
+        let want = Some(self.fleet.want());
+        let members = self.fleet.members.iter().zip(&self.subtrees);
+        members
+            .map(|(m, s)| match s {
+                Some(s) if m.reported == want && s.synced_to == want => s.synced as usize,
                 Some(_) => 0,
-                None => usize::from(h.reported == Some(want)),
+                None => usize::from(m.reported == want),
             })
             .sum()
     }
 
     /// Control-wire load counters at this (root) endpoint.
     pub fn wire(&self) -> WireCounters {
-        self.wire
+        self.fleet.wire
     }
 
     /// Liveness verdict for `addr` (None if unmanaged).
     pub fn host_status(&self, addr: u32) -> Option<HostStatus> {
-        self.hosts.iter().find(|h| h.addr == addr).map(|h| h.status)
+        let i = self.fleet.position(addr)?;
+        Some(self.fleet.members[i].status)
     }
 
     /// Whether a cluster-wide update round is still in flight.
     pub fn round_active(&self) -> bool {
-        self.round.is_some() || self.want_round
+        self.fleet.busy()
     }
 
     /// Aggregated per-host stats (filled by `stats_every` pulls).
@@ -464,21 +382,16 @@ impl ControllerApp {
     // ------------------------------------------------------------------
 
     fn desired(&self) -> &Version {
-        self.history.last().expect("history never empty")
-    }
-
-    /// The `(epoch, digest)` pair every host should report.
-    fn want(&self) -> (u64, u64) {
-        (self.desired().epoch, self.desired().model.digest())
+        self.fleet.target()
     }
 
     /// Make `model` desired state under `epoch` and queue its round.
     fn push_desired(&mut self, epoch: u64, model: ConfigModel) {
         self.flight_record(FlightKind::EpochStage, epoch, 0);
         self.flight_record(FlightKind::EpochCommit, epoch, 0);
-        self.history.push(Version { epoch, model });
+        self.fleet.push_version(Version { epoch, model });
         self.sync_repl();
-        self.want_round = true;
+        self.fleet.want_round = true;
     }
 
     fn flight_record(&mut self, kind: FlightKind, a: u64, b: u64) {
@@ -515,241 +428,75 @@ impl ControllerApp {
         }
     }
 
-    fn plan_prepare(&self, reported: Option<(u64, u64)>) -> CtrlMsg {
-        delta::plan_prepare(&self.history, reported, self.cfg.delta_updates)
-    }
-
-    /// Send `msg` to `to` as one or more control frames, returning the
-    /// message id (which replies echo as `re`). A trace context rides as
-    /// the frame trailer when given.
-    #[allow(clippy::too_many_arguments)]
-    fn send(
-        seq: &mut u32,
-        wire: &mut WireCounters,
-        cfg: &CtrlConfig,
-        to: u32,
-        msg: &CtrlMsg,
-        trace: Option<&TraceContext>,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) -> u32 {
-        *seq = seq.wrapping_add(1);
-        let id = *seq;
-        let udp = UdpHeader {
-            src_port: cfg.src_port,
-            dst_port: cfg.ctrl_port,
-        };
-        let payload = match trace {
-            Some(t) => proto::encode_msg_traced(msg, t),
-            None => proto::encode_msg(msg),
-        };
-        wire.sent(msg, payload.len());
-        for frame in proto::fragment(id, &payload) {
-            stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-        }
-        id
-    }
-
-    /// Install `msg` as the host's tracked request and transmit it.
-    #[allow(clippy::too_many_arguments)]
-    fn send_tracked(
-        &mut self,
-        host_idx: usize,
-        msg: CtrlMsg,
-        phase: AckPhase,
-        origin: Origin,
-        trace: Option<TraceContext>,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let to = self.hosts[host_idx].addr;
-        let id = Self::send(
-            &mut self.msg_seq,
-            &mut self.wire,
-            &self.cfg,
-            to,
-            &msg,
-            trace.as_ref(),
-            stack,
-            ctx,
-        );
-        let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-        self.hosts[host_idx].inflight = Some(Inflight {
-            msg_id: id,
-            msg,
-            phase,
-            origin,
-            retries: 0,
-            next_retry: ctx.now() + self.cfg.retry_base + jitter,
-            ctx: trace,
-            sent_at: ctx.now(),
-        });
-    }
-
-    fn tick(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-
-        // Failure detection: silence past the threshold takes a host out
-        // of the current round (and marks it Down). Heartbeats continue,
-        // so a later pong flips it back Up.
-        for i in 0..self.hosts.len() {
-            let silent = now
-                .as_nanos()
-                .saturating_sub(self.hosts[i].last_heard.as_nanos())
-                > self.cfg.fail_after.as_nanos();
-            if self.hosts[i].status == HostStatus::Up && silent {
-                self.mark_down(i, now);
-            }
-        }
-
-        // Heartbeats (fire-and-forget; the reply, not the send, is
-        // tracked — via last_heard). Each one carries this host's
-        // replication views — the fan-out half of the sync loop.
-        for i in 0..self.hosts.len() {
-            if now >= self.hosts[i].next_heartbeat {
-                self.nonce_seq += 1;
-                let to = self.hosts[i].addr;
-                let funcs = self.repl.active_funcs();
-                // An aggregator gets one AggSync carrying the views of
-                // every host in its shard, host-tagged; a plain host gets
-                // its own views on a regular heartbeat.
-                let (msg, payload) = match self.hosts[i].subtree.as_deref() {
-                    Some(children) => {
-                        let mut views = Vec::new();
-                        for &c in children {
-                            for &f in &funcs {
-                                if let Some(v) = self.repl.view_for(c, f) {
-                                    views.push((c, v));
-                                }
+    fn tick(&mut self, now: Time, rng: &mut SimRng) {
+        // Heartbeats, each carrying replication views — the fan-out half
+        // of the sync loop. An aggregator gets one AggSync carrying the
+        // views of every host in its shard, host-tagged; a plain host
+        // gets its own views on a regular heartbeat.
+        let (repl, subtrees) = (&mut self.repl, &self.subtrees);
+        self.fleet.heartbeat(now, |i, to, nonce| {
+            let funcs = repl.active_funcs();
+            match &subtrees[i] {
+                Some(s) => {
+                    let mut views = Vec::new();
+                    for &c in &s.children {
+                        for &f in &funcs {
+                            if let Some(v) = repl.view_for(c, f) {
+                                views.push((c, v));
                             }
                         }
-                        let msg = CtrlMsg::AggSync {
-                            nonce: self.nonce_seq,
-                            views,
-                        };
-                        let payload = proto::encode_msg(&msg);
-                        (msg, payload)
                     }
-                    None => {
-                        let msg = CtrlMsg::Heartbeat {
-                            nonce: self.nonce_seq,
-                        };
-                        let views: Vec<FuncView> = funcs
-                            .iter()
-                            .filter_map(|&f| self.repl.view_for(to, f))
-                            .collect();
-                        let payload = proto::encode_msg_synced(&msg, &views, None);
-                        (msg, payload)
-                    }
-                };
-                self.msg_seq = self.msg_seq.wrapping_add(1);
-                let id = self.msg_seq;
-                let udp = UdpHeader {
-                    src_port: self.cfg.src_port,
-                    dst_port: self.cfg.ctrl_port,
-                };
-                self.wire.sent(&msg, payload.len());
-                for frame in proto::fragment(id, &payload) {
-                    stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
+                    let msg = CtrlMsg::AggSync { nonce, views };
+                    let payload = proto::encode_msg(&msg);
+                    (msg, payload)
                 }
-                self.hosts[i].next_heartbeat = now + self.cfg.heartbeat_every;
+                None => {
+                    let msg = CtrlMsg::Heartbeat { nonce };
+                    let views: Vec<FuncView> =
+                        funcs.iter().filter_map(|&f| repl.view_for(to, f)).collect();
+                    let payload = proto::encode_msg_synced(&msg, &views, None);
+                    (msg, payload)
+                }
             }
-        }
+        });
 
         // Periodic stats pulls (plus a trace drain on the same cadence).
-        if self.cfg.stats_every > Time::ZERO && now >= self.next_stats {
-            for i in 0..self.hosts.len() {
-                if self.hosts[i].status == HostStatus::Up {
-                    let to = self.hosts[i].addr;
-                    Self::send(
-                        &mut self.msg_seq,
-                        &mut self.wire,
-                        &self.cfg,
-                        to,
-                        &CtrlMsg::PullStats,
-                        None,
-                        stack,
-                        ctx,
-                    );
-                    if self.cfg.pull_trace_max > 0 {
-                        Self::send(
-                            &mut self.msg_seq,
-                            &mut self.wire,
-                            &self.cfg,
-                            to,
-                            &CtrlMsg::PullTrace {
-                                max: self.cfg.pull_trace_max,
-                            },
-                            None,
-                            stack,
-                            ctx,
-                        );
+        let cfg = &self.fleet.cfg;
+        if cfg.stats_every > Time::ZERO && now >= self.next_stats {
+            self.next_stats = now + cfg.stats_every;
+            let max = cfg.pull_trace_max;
+            for i in 0..self.fleet.members.len() {
+                let m = &self.fleet.members[i];
+                if m.status == HostStatus::Up {
+                    let to = m.addr;
+                    self.fleet.send(to, &CtrlMsg::PullStats, None);
+                    if max > 0 {
+                        self.fleet.send(to, &CtrlMsg::PullTrace { max }, None);
                     }
                 }
             }
-            self.next_stats = now + self.cfg.stats_every;
         }
 
-        // Retransmits, with exponential backoff + jitter. Exhausted
-        // retries count as host failure.
-        for i in 0..self.hosts.len() {
-            let Some(inflight) = self.hosts[i].inflight.as_ref() else {
-                continue;
-            };
-            if now < inflight.next_retry {
-                continue;
-            }
-            if inflight.retries >= self.cfg.max_retries {
-                self.mark_down(i, now);
-                continue;
-            }
-            let to = self.hosts[i].addr;
-            let msg = self.hosts[i].inflight.as_ref().unwrap().msg.clone();
-            // Retries reuse the message id: the agent-side reassembler
-            // and handlers are idempotent, and the reply still correlates.
-            let id = self.hosts[i].inflight.as_ref().unwrap().msg_id;
-            let trace = self.hosts[i].inflight.as_ref().unwrap().ctx;
-            let udp = UdpHeader {
-                src_port: self.cfg.src_port,
-                dst_port: self.cfg.ctrl_port,
-            };
-            let payload = match trace.as_ref() {
-                Some(t) => proto::encode_msg_traced(&msg, t),
-                None => proto::encode_msg(&msg),
-            };
-            self.wire.sent(&msg, payload.len());
-            for frame in proto::fragment(id, &payload) {
-                stack.send_raw(Packet::ctrl(stack.addr, to, udp, frame), ctx);
-            }
-            let inflight = self.hosts[i].inflight.as_mut().unwrap();
-            inflight.retries += 1;
-            // RTT measures the *latest* transmission, not the first try.
-            inflight.sent_at = now;
-            let base = self.cfg.retry_base.as_nanos() << inflight.retries.min(20);
-            let backoff = Time::from_nanos(base.min(self.cfg.retry_max.as_nanos()));
-            let jitter = Time::from_nanos(ctx.rng().below(self.cfg.retry_base.as_nanos() / 2 + 1));
-            self.hosts[i].inflight.as_mut().unwrap().next_retry = now + backoff + jitter;
-        }
+        self.fleet.retransmit(now, rng);
 
-        // A Preparing round whose last pending host was just marked down
-        // needs its phase pushed here (mark_down cannot send).
-        self.push_round_phase(stack, ctx);
-
-        // Open a pending cluster round.
-        if self.want_round && self.round.is_none() {
-            self.want_round = false;
-            self.open_round(stack, ctx);
+        let (trace_rounds, span_seq) = (self.fleet.cfg.trace_rounds, &mut self.span_seq);
+        let new_trace = || {
+            trace_rounds.then(|| {
+                *span_seq += 2;
+                TraceContext::sampled(*span_seq - 1, *span_seq)
+            })
+        };
+        if let Some(done) = self.fleet.drive(now, rng, new_trace) {
+            self.finish_round(now, done);
         }
 
         // Reconciliation: with no round in flight, any host whose report
         // differs from desired gets an individual resync.
-        if self.round.is_none() {
-            self.reconcile(stack, ctx);
+        if !self.fleet.in_round() {
+            self.reconcile(now, rng);
         }
 
         self.refresh_repl_lags(now.as_nanos());
-
-        ctx.timer_in(self.cfg.tick_every, transport::app_timer_token(TICK));
     }
 
     /// Mirror the hub's per-host replica age into [`ClusterStats`], so
@@ -774,152 +521,56 @@ impl ControllerApp {
             .collect();
     }
 
-    fn mark_down(&mut self, i: usize, now: Time) {
-        self.hosts[i].status = HostStatus::Down;
-        self.hosts[i].inflight = None;
-        let addr = self.hosts[i].addr;
-        if let Some(round) = self.round.as_mut() {
-            round.pending.retain(|&a| a != addr);
-        }
-        self.advance_round_if_done(now);
-    }
-
-    fn open_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let epoch = self.desired().epoch;
-        let targets: Vec<usize> = (0..self.hosts.len())
-            .filter(|&i| self.hosts[i].status == HostStatus::Up)
-            .collect();
-        if targets.is_empty() {
-            // Nobody reachable: desired state stands, reconciliation
-            // will push it to hosts as they come back.
-            return;
-        }
-        let (trace_id, root_span) = if self.cfg.trace_rounds {
-            self.span_seq += 1;
-            let trace_id = self.span_seq;
-            self.span_seq += 1;
-            (trace_id, self.span_seq)
-        } else {
-            (0, 0)
-        };
-        let trace = (trace_id != 0).then(|| TraceContext::sampled(trace_id, root_span));
-        let mut pending = Vec::with_capacity(targets.len());
-        // Most of a converged fleet shares one base config, so plans are
-        // cached per reported (epoch, digest) — one diff serves the rack.
-        let mut plans: Vec<((u64, u64), CtrlMsg)> = Vec::new();
-        for i in targets {
-            let msg = match self.hosts[i].reported {
-                Some(base) => match plans.iter().find(|(b, _)| *b == base) {
-                    Some((_, m)) => m.clone(),
-                    None => {
-                        let m = self.plan_prepare(Some(base));
-                        plans.push((base, m.clone()));
-                        m
-                    }
-                },
-                None => self.plan_prepare(None),
-            };
-            // An individual resync in flight is superseded by the round.
-            self.send_tracked(i, msg, AckPhase::Prepare, Origin::Round, trace, stack, ctx);
-            pending.push(self.hosts[i].addr);
-        }
-        self.round = Some(Round {
-            epoch,
-            phase: RoundPhase::Preparing,
-            pending,
-            acked: Vec::new(),
-            trace_id,
-            root_span,
-            opened_at: ctx.now(),
-        });
-    }
-
-    fn reconcile(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let want = self.want();
-        for i in 0..self.hosts.len() {
-            let h = &self.hosts[i];
-            if h.status != HostStatus::Up || h.inflight.is_some() || now < h.next_resync {
-                continue;
-            }
-            let Some(reported) = h.reported else {
-                continue; // never heard: wait for the first pong
-            };
-            // An aggregator whose own config converged can still be
-            // vouching for a diverged or run-ahead child (it cannot mint
-            // epochs itself); the root heals the shard the same way it
-            // heals a directly-managed diverged host — a fresh epoch.
-            let subtree_ahead = h.subtree.is_some()
-                && reported == want
-                && (h.subtree_diverged || h.subtree_max_epoch > want.0);
-            if reported == want && !subtree_ahead {
-                continue;
-            }
-            if reported.0 >= want.0 || subtree_ahead {
-                // Same (or newer) epoch but wrong digest: the host
-                // diverged. Freeze the flight recorder (the
-                // controller-side record of what it believed) and
-                // re-issue desired state under a fresh epoch so a plain
-                // prepare/commit replay heals the whole fleet.
-                let addr = h.addr;
-                let ahead = reported.0.max(h.subtree_max_epoch);
-                self.flight_record(FlightKind::Divergence, u64::from(addr), reported.1);
-                FlightDump::freeze(
-                    "divergence",
-                    0,
-                    0,
-                    std::slice::from_ref(&self.flight),
-                    Vec::new(),
-                    EnclaveCounters::default(),
-                )
-                .emit();
-                let model = self.desired().model.clone();
-                self.push_desired(ahead + 1, model);
-                return;
-            }
-            let msg = self.plan_prepare(Some(reported));
-            self.send_tracked(i, msg, AckPhase::Prepare, Origin::Resync, None, stack, ctx);
-        }
-    }
-
-    fn advance_round_if_done(&mut self, now: Time) {
-        let Some(round) = self.round.as_ref() else {
+    /// Resync lagging hosts. A host at (or past) the desired epoch with a
+    /// wrong digest diverged; so did an aggregator whose own config
+    /// converged but which vouches for a diverged or run-ahead child (it
+    /// cannot mint epochs itself). Either way, freeze the flight recorder
+    /// (the controller-side record of what it believed) and re-issue
+    /// desired state under a fresh epoch, so a plain prepare/commit
+    /// replay heals the whole fleet.
+    fn reconcile(&mut self, now: Time, rng: &mut SimRng) {
+        let want = self.fleet.want();
+        let subtrees = &self.subtrees;
+        let subtree = |i: usize| subtrees[i].as_ref();
+        let Some(i) = self.fleet.reconcile(now, rng, |i, reported| {
+            reported != want || subtree(i).is_some_and(|s| s.diverged || s.max_epoch > want.0)
+        }) else {
             return;
         };
-        if !round.pending.is_empty() {
-            return;
-        }
-        match round.phase {
-            // Phase transitions that need the stack are handled where the
-            // triggering ack arrives (handle_reply); an empty pending set
-            // reached via mark_down on the *last* pending host is resolved
-            // on the next ack or tick through round_needs_push.
-            RoundPhase::Preparing => {}
-            RoundPhase::Committing | RoundPhase::Aborting => {
-                self.finish_round(now);
-            }
-        }
+        let (addr, reported) = (self.fleet.members[i].addr, self.fleet.members[i].reported);
+        let reported = reported.expect("only reporting members diverge");
+        let ahead = reported.0.max(subtree(i).map_or(0, |s| s.max_epoch));
+        self.flight_record(FlightKind::Divergence, u64::from(addr), reported.1);
+        FlightDump::freeze(
+            "divergence",
+            0,
+            0,
+            std::slice::from_ref(&self.flight),
+            Vec::new(),
+            EnclaveCounters::default(),
+        )
+        .emit();
+        let model = self.desired().model.clone();
+        self.push_desired(ahead + 1, model);
     }
 
     /// Close out a completed round: record its convergence latency (for
     /// committed rounds) and ingest the trace root so the collected
     /// per-host spans hang off a tree.
-    fn finish_round(&mut self, now: Time) {
-        let Some(round) = self.round.take() else {
-            return;
-        };
-        if round.phase == RoundPhase::Committing {
+    fn finish_round(&mut self, now: Time, done: RoundDone) {
+        let opened_at = done.opened_at.as_nanos();
+        if done.committed {
             self.converge
-                .record(now.as_nanos().saturating_sub(round.opened_at.as_nanos()));
+                .record(now.as_nanos().saturating_sub(opened_at));
         }
-        if round.trace_id != 0 {
+        if let Some(t) = done.trace {
             self.trace.ingest(Span {
-                trace_id: round.trace_id,
-                span_id: round.root_span,
+                trace_id: t.trace_id,
+                span_id: t.parent_span,
                 parent_span: 0,
                 host: 0,
                 name: "epoch".into(),
-                start_ns: round.opened_at.as_nanos(),
+                start_ns: opened_at,
                 end_ns: now.as_nanos(),
             });
         }
@@ -935,119 +586,38 @@ impl ControllerApp {
         ];
     }
 
-    /// Move a fully prepare-acked round into its commit fan-out. Called
-    /// from contexts that hold the stack.
-    fn push_round_phase(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        if round.phase != RoundPhase::Preparing || !round.pending.is_empty() {
-            return;
-        }
-        let epoch = round.epoch;
-        let acked = round.acked.clone();
-        let trace =
-            (round.trace_id != 0).then(|| TraceContext::sampled(round.trace_id, round.root_span));
-        if acked.is_empty() {
-            // Every target died mid-prepare; nothing to commit.
-            self.round = None;
-            return;
-        }
-        let mut pending = Vec::with_capacity(acked.len());
-        for addr in acked {
-            if let Some(i) = self.hosts.iter().position(|h| h.addr == addr) {
-                if self.hosts[i].status != HostStatus::Up {
-                    continue;
-                }
-                self.send_tracked(
-                    i,
-                    CtrlMsg::Commit { epoch },
-                    AckPhase::Commit,
-                    Origin::Round,
-                    trace,
-                    stack,
-                    ctx,
-                );
-                pending.push(addr);
-            }
-        }
-        let round = self.round.as_mut().unwrap();
-        round.phase = RoundPhase::Committing;
-        round.pending = pending;
-        self.advance_round_if_done(ctx.now());
-    }
-
-    /// A prepare was nacked: abort everywhere and roll desired state back.
-    fn abort_round(&mut self, stack: &mut Stack, ctx: &mut Ctx<'_>) {
-        let Some(round) = self.round.as_ref() else {
-            return;
-        };
-        let epoch = round.epoch;
-        let trace =
-            (round.trace_id != 0).then(|| TraceContext::sampled(round.trace_id, round.root_span));
-        // Roll back desired state (the initial entry always stays).
-        if self.history.len() > 1 && self.desired().epoch == epoch {
-            self.history.pop();
-            self.flight_record(FlightKind::EpochAbort, epoch, 0);
-            self.sync_repl();
-        }
-        let scope: Vec<u32> = self
-            .hosts
-            .iter()
-            .filter(|h| h.status == HostStatus::Up)
-            .map(|h| h.addr)
-            .collect();
-        let mut pending = Vec::with_capacity(scope.len());
-        for addr in scope {
-            let i = self.hosts.iter().position(|h| h.addr == addr).unwrap();
-            self.send_tracked(
-                i,
-                CtrlMsg::Abort { epoch },
-                AckPhase::Abort,
-                Origin::Round,
-                trace,
-                stack,
-                ctx,
-            );
-            pending.push(addr);
-        }
-        let round = self.round.as_mut().unwrap();
-        round.phase = RoundPhase::Aborting;
-        round.pending = pending;
-        round.acked.clear();
-        self.advance_round_if_done(ctx.now());
-    }
-
     fn handle_reply(
         &mut self,
         from: u32,
         reply: CtrlReply,
         deltas: Vec<FuncDelta>,
-        stack: &mut Stack,
-        ctx: &mut Ctx<'_>,
+        now: Time,
+        rng: &mut SimRng,
     ) {
-        let now = ctx.now();
-        let Some(i) = self.hosts.iter().position(|h| h.addr == from) else {
+        let Some(heard) = self.fleet.on_reply(now, rng, from, &reply) else {
             return; // not one of ours
         };
-        self.hosts[i].last_heard = now;
-        self.hosts[i].ever_heard = true;
-        if self.hosts[i].status == HostStatus::Down {
-            self.hosts[i].status = HostStatus::Up;
+        if let Some(rtt) = heard.rtt {
+            self.rtt.record(rtt.as_nanos());
+            self.refresh_ctrl_latencies();
         }
+        if heard.prepare_nacked {
+            // Abort everywhere and roll desired state back (the initial
+            // version always stays).
+            if let Some(epoch) = self.fleet.abort_round(now, rng) {
+                if self.fleet.rollback(epoch) {
+                    self.flight_record(FlightKind::EpochAbort, epoch, 0);
+                    self.sync_repl();
+                }
+            }
+        }
+        let now_ns = now.as_nanos();
         match reply {
-            CtrlReply::Pong {
-                epoch,
-                digest,
-                spans,
-                ..
-            } => {
-                self.hosts[i].reported = Some((epoch, digest));
+            CtrlReply::Pong { spans, .. } => {
                 for span in spans {
                     self.trace.ingest(span);
                 }
                 if !deltas.is_empty() {
-                    let now_ns = now.as_nanos();
                     // Staleness = gap since this host's previous delta;
                     // its first delta has no gap to measure.
                     let prev = self.repl.report(now_ns);
@@ -1077,16 +647,16 @@ impl ControllerApp {
                 spans,
                 ..
             } => {
-                self.hosts[i].reported = Some((epoch, digest));
-                self.hosts[i].subtree_synced = hosts_synced;
-                self.hosts[i].subtree_synced_to = Some((epoch, digest));
-                self.hosts[i].subtree_max_epoch = max_epoch;
-                self.hosts[i].subtree_diverged = diverged;
+                if let Some(s) = self.subtrees[heard.member].as_mut() {
+                    s.synced = hosts_synced;
+                    s.synced_to = Some((epoch, digest));
+                    s.max_epoch = max_epoch;
+                    s.diverged = diverged;
+                }
                 for span in spans {
                     self.trace.ingest(span);
                 }
                 if !deltas.is_empty() {
-                    let now_ns = now.as_nanos();
                     let bare: Vec<FuncDelta> = deltas.iter().map(|(_, d)| d.clone()).collect();
                     self.repl_delta_bytes
                         .record(proto::repl_deltas_wire_len(&bare) as u64);
@@ -1107,7 +677,6 @@ impl ControllerApp {
                 latencies,
                 ..
             } => {
-                self.hosts[i].reported = Some((epoch, digest));
                 self.cluster.record(HostReport {
                     host: from,
                     epoch,
@@ -1117,131 +686,21 @@ impl ControllerApp {
                     latencies,
                 });
             }
-            CtrlReply::Ack { re, epoch, phase } => {
-                let matches = self.hosts[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re && f.phase == phase);
-                if !matches {
-                    return; // stale or duplicate ack
-                }
-                let inflight = self.hosts[i].inflight.as_ref().unwrap();
-                let origin = inflight.origin;
-                self.rtt
-                    .record(now.as_nanos().saturating_sub(inflight.sent_at.as_nanos()));
-                self.refresh_ctrl_latencies();
-                self.hosts[i].inflight = None;
-                match (origin, phase) {
-                    (Origin::Round, AckPhase::Prepare) => {
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                            round.acked.push(from);
-                        }
-                        self.push_round_phase(stack, ctx);
-                    }
-                    (Origin::Round, AckPhase::Commit) => {
-                        let digest = delta::digest_of(&self.history, epoch);
-                        if let Some(d) = digest {
-                            self.hosts[i].reported = Some((epoch, d));
-                        }
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.advance_round_if_done(now);
-                    }
-                    (Origin::Round, AckPhase::Abort) => {
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.advance_round_if_done(now);
-                    }
-                    (Origin::Resync, AckPhase::Prepare) => {
-                        self.send_tracked(
-                            i,
-                            CtrlMsg::Commit { epoch },
-                            AckPhase::Commit,
-                            Origin::Resync,
-                            None,
-                            stack,
-                            ctx,
-                        );
-                    }
-                    (Origin::Resync, AckPhase::Commit) => {
-                        if let Some(d) = delta::digest_of(&self.history, epoch) {
-                            self.hosts[i].reported = Some((epoch, d));
-                        }
-                        self.hosts[i].resync_backoff = Time::ZERO;
-                        self.hosts[i].next_resync = now;
-                    }
-                    (Origin::Resync, AckPhase::Abort) => {}
-                }
-            }
-            CtrlReply::Nack { re, epoch, .. } => {
-                let matches = self.hosts[i]
-                    .inflight
-                    .as_ref()
-                    .is_some_and(|f| f.msg_id == re);
-                if !matches {
-                    return;
-                }
-                let (origin, phase, was_delta, trace) = {
-                    let f = self.hosts[i].inflight.as_ref().unwrap();
-                    self.rtt
-                        .record(now.as_nanos().saturating_sub(f.sent_at.as_nanos()));
-                    (
-                        f.origin,
-                        f.phase,
-                        matches!(f.msg, CtrlMsg::DeltaPrepare { .. }),
-                        f.ctx,
-                    )
-                };
-                self.refresh_ctrl_latencies();
-                self.hosts[i].inflight = None;
-                if was_delta && phase == AckPhase::Prepare && epoch == self.desired().epoch {
-                    // The digest anchor missed (the host's config is not
-                    // what its last report promised) or the diff failed
-                    // validation there: fall back to the full Reset-led
-                    // ship on the same track — a round host stays in the
-                    // round's pending set, a resync stays a resync.
-                    let msg = self.plan_prepare(None);
-                    self.send_tracked(i, msg, AckPhase::Prepare, origin, trace, stack, ctx);
-                    return;
-                }
-                match (origin, phase) {
-                    (Origin::Round, AckPhase::Prepare) => self.abort_round(stack, ctx),
-                    (Origin::Round, _) => {
-                        // A commit/abort nack means the host lost its
-                        // staging (e.g. rebooted mid-round). Drop it from
-                        // the round; reconciliation will resync it.
-                        if let Some(round) = self.round.as_mut() {
-                            round.pending.retain(|&a| a != from);
-                        }
-                        self.advance_round_if_done(now);
-                    }
-                    (Origin::Resync, _) => {
-                        // Back off before retrying this host so a
-                        // persistently unhappy host cannot hot-loop.
-                        let b = self.hosts[i].resync_backoff.as_nanos();
-                        let next = (b * 2).clamp(
-                            self.cfg.retry_base.as_nanos(),
-                            self.cfg.fail_after.as_nanos() * 4,
-                        );
-                        self.hosts[i].resync_backoff = Time::from_nanos(next);
-                        self.hosts[i].next_resync = now + Time::from_nanos(next);
-                    }
-                }
-            }
+            CtrlReply::Ack { .. } | CtrlReply::Nack { .. } => {}
         }
-        // A round stuck in Preparing with an emptied pending set (last
-        // pending host died) still needs its push.
-        self.push_round_phase(stack, ctx);
+        if let Some(done) = self.fleet.advance(now, rng) {
+            self.finish_round(now, done);
+        }
     }
 }
 
 impl App for ControllerApp {
     fn on_timer(&mut self, token: u64, stack: &mut Stack, ctx: &mut Ctx<'_>) {
         if token == TICK {
-            self.tick(stack, ctx);
+            let now = ctx.now();
+            self.tick(now, ctx.rng());
+            flush(&mut self.fleet, stack, ctx);
+            ctx.timer_in(self.fleet.cfg.tick_every, transport::app_timer_token(TICK));
         }
     }
 
@@ -1250,15 +709,14 @@ impl App for ControllerApp {
             return;
         };
         let from = packet.ip.src;
-        let payload = match self.reasm.accept(from, frame) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(_) => return,
+        let Some(payload) = self.fleet.accept(from, frame) else {
+            return;
         };
-        self.wire.msgs_received += 1;
-        self.wire.bytes_received += payload.len() as u64;
         let Ok((reply, deltas)) = proto::decode_reply_synced(&payload) else {
             return;
         };
-        self.handle_reply(from, reply, deltas, stack, ctx);
+        let now = ctx.now();
+        self.handle_reply(from, reply, deltas, now, ctx.rng());
+        flush(&mut self.fleet, stack, ctx);
     }
 }

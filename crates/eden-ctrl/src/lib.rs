@@ -50,6 +50,7 @@ pub mod agent;
 pub mod aggregator;
 pub mod controller;
 pub mod delta;
+mod fleet;
 pub mod proto;
 
 pub use agent::EnclaveAgent;
